@@ -1,7 +1,9 @@
 // Package repro's benchmark harness regenerates every table and figure of
 // the paper's evaluation as testing.B benchmarks, reporting the headline
 // numbers as custom metrics so `go test -bench` output doubles as a
-// reproduction summary (see EXPERIMENTS.md for paper-vs-measured).
+// reproduction summary (`slcbench -all` renders the full report). They
+// report simulated results; host speed (simulator events/s, codec and
+// daemon throughput) is measured by the bench/ module, see bench/README.md.
 //
 //	go test -bench=Fig7 -benchtime=1x .
 //	go test -bench=. -benchmem ./...
@@ -15,7 +17,6 @@ import (
 	"repro/internal/compress"
 	"repro/internal/experiments"
 	"repro/internal/gpu/sim"
-	"repro/internal/gpu/trace"
 	"repro/internal/hw"
 	"repro/internal/slc"
 	"repro/internal/workloads"
@@ -237,141 +238,4 @@ func BenchmarkAblationPrediction(b *testing.B) {
 			b.ReportMetric(res.ErrorFrac*100, "error%-"+v.String())
 		}
 	}
-}
-
-// simBenchTrace is a synthetic streaming trace stressing the event engine:
-// 1024 warps × 200 accesses with a write mixed in, matching the shape the
-// sim package's own benchmarks use.
-func simBenchTrace() *trace.Trace {
-	k := trace.Kernel{Name: "bench", Warps: make([][]trace.Access, 1024)}
-	for w := range k.Warps {
-		accs := make([]trace.Access, 200)
-		for i := range accs {
-			addr := uint64(w)<<20 | uint64(i)<<7
-			accs[i] = trace.Access{Addr: addr, Bursts: 4, Compute: 4, Compressed: true}
-			if i%16 == 15 {
-				accs[i].Write = true
-			}
-		}
-		k.Warps[w] = accs
-	}
-	return &trace.Trace{Kernels: []trace.Kernel{k}}
-}
-
-// benchSimReplay replays the synthetic trace through one reusable Simulator
-// at the given worker count, reporting events/s and ns/event — the same
-// metrics `slcbench -simbench` tracks per workload.
-func benchSimReplay(b *testing.B, workers int) {
-	cfg := sim.DefaultConfig()
-	cfg.Workers = workers
-	s, err := sim.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := simBenchTrace()
-	want, err := s.Replay(tr) // warm-up; pins the expected Result
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := s.Replay(tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got != want {
-			b.Fatalf("replay diverged:\nfirst:  %+v\nreplay: %+v", want, got)
-		}
-	}
-	b.StopTimer()
-	events := float64(s.Events())
-	nsPerEvent := float64(b.Elapsed().Nanoseconds()) / (float64(b.N) * events)
-	b.ReportMetric(nsPerEvent, "ns/event")
-	b.ReportMetric(1e9/nsPerEvent, "events/s")
-}
-
-// BenchmarkSimSerial is the trace replay on the serial engine.
-func BenchmarkSimSerial(b *testing.B) { benchSimReplay(b, 1) }
-
-// BenchmarkSimSharded4 shards the replay across 4 event-lane workers.
-func BenchmarkSimSharded4(b *testing.B) { benchSimReplay(b, 4) }
-
-// BenchmarkSimShardedAll shards the replay across all cores.
-func BenchmarkSimShardedAll(b *testing.B) { benchSimReplay(b, runtime.GOMAXPROCS(0)) }
-
-// decodeCorpora builds (once) the per-workload entropy-decode corpora the
-// decode benchmarks share: blocks sampled from each registered workload's
-// device image, encoded with that workload's trained table.
-var (
-	corporaOnce sync.Once
-	corpora     []*experiments.DecodeCorpus
-	corporaErr  error
-)
-
-func decodeCorpora() ([]*experiments.DecodeCorpus, error) {
-	corporaOnce.Do(func() {
-		for _, w := range workloads.Registry() {
-			c, err := experiments.BuildDecodeCorpus(sharedR(), w, 0)
-			if err != nil {
-				corporaErr = err
-				return
-			}
-			corpora = append(corpora, c)
-		}
-	})
-	return corpora, corporaErr
-}
-
-// benchDecode drives one decoder over every corpus block per iteration and
-// reports the mean ns/block. Compare BenchmarkDecodeLUT against
-// BenchmarkDecodeReference for the LUT fast-path speedup (the PR's
-// acceptance bar is ≥ 3×); `slcbench -decodebench` reports the same split
-// per workload.
-func benchDecode(b *testing.B, fn func(c *experiments.DecodeCorpus, it *experiments.DecodeItem) error) {
-	cs, err := decodeCorpora()
-	if err != nil {
-		b.Fatal(err)
-	}
-	blocks := 0
-	for _, c := range cs {
-		blocks += len(c.Items)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range cs {
-			for j := range c.Items {
-				if err := fn(c, &c.Items[j]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
-}
-
-// BenchmarkDecodeLUT times the table-driven decode fast path.
-func BenchmarkDecodeLUT(b *testing.B) {
-	benchDecode(b, func(c *experiments.DecodeCorpus, it *experiments.DecodeItem) error {
-		_, err := c.Table.DecodeWays(it.Payload, it.Starts, 0, 0)
-		return err
-	})
-}
-
-// BenchmarkDecodeReference times the retained bit-by-bit decoder.
-func BenchmarkDecodeReference(b *testing.B) {
-	benchDecode(b, func(c *experiments.DecodeCorpus, it *experiments.DecodeItem) error {
-		_, err := c.Table.DecodeWaysRef(it.Payload, it.Starts, 0, 0)
-		return err
-	})
-}
-
-// BenchmarkDecodeParallel times the gap-array parallel decoder. Per-block
-// goroutine fan-out only pays off against decode-side latency hiding, not
-// raw throughput — expect it to trail the serial LUT path here.
-func BenchmarkDecodeParallel(b *testing.B) {
-	benchDecode(b, func(c *experiments.DecodeCorpus, it *experiments.DecodeItem) error {
-		_, err := c.Table.DecodeWaysParallel(it.Payload, it.Starts, 0, 0, &it.Gaps)
-		return err
-	})
 }

@@ -33,21 +33,11 @@
 // (observable via the Store hit counters in -json output). -store-clear
 // empties the store first.
 //
-// -decodebench times the three entropy decoders (LUT, bit-by-bit reference,
-// gap-array parallel) over corpora sampled from every registered workload.
-// Alone it prints a per-workload table; combined with -json (with or
-// without another target) the timings land in the trajectory's Decode
-// section, which CI uploads per push.
-//
-// -simbench times the discrete-event engine itself: every workload's trace
-// is replayed repeatedly through one simulator (at the -simworkers setting)
-// and the resulting events/s and ns/event land in a text table or, with
-// -json, the trajectory's Sim section (uploaded as bench-sim.json by CI,
-// which also fails its regression smoke step when ns/event degrades >25%
-// against the committed baseline fixture).
-//
 // -cpuprofile FILE / -memprofile FILE record pprof profiles of whatever the
 // invocation runs — see the README's "Profiling" section for the workflow.
+// slcbench measures the paper's simulated results, not host speed; wall-clock
+// throughput of the simulator, codecs and daemon is the bench/ module's job
+// (bench/README.md).
 package main
 
 import (
@@ -86,8 +76,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		parallel  = fs.Int("parallel", 1, "evaluation workers (0 = all cores, 1 = serial)")
 		simw      = fs.Int("simworkers", 1, "worker goroutines per sharded timing simulation (0 = all cores, 1 = serial engine)")
 		asJSON    = fs.Bool("json", false, "emit the executed cells as JSON instead of the text report (-all, -fig, -ablations, -matrix)")
-		decodeb   = fs.Bool("decodebench", false, "time the entropy decoders over per-workload corpora (text table, or the trajectory's Decode section with -json)")
-		simb      = fs.Bool("simbench", false, "time the event engine replaying every workload's trace (text table, or the trajectory's Sim section with -json)")
 		verbose   = fs.Bool("v", false, "log per-run progress to stderr")
 		store     = storeflag.RegisterOn(fs)
 		prof      = profileflag.RegisterOn(fs)
@@ -225,55 +213,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 
-	// Decode benchmarks run against whatever tables the selected workloads
-	// train (memoised, so a -fig 2 run above shares them).
-	var dbench []experiments.DecodeBench
-	if *decodeb {
-		dbench, err = experiments.CollectDecodeBenches(r, 0)
-		if err != nil {
-			return fail(err)
-		}
-		if target == "" {
-			target = "decode"
-		}
-	}
-
-	// Simulator throughput runs each workload's trace through one reusable
-	// Simulator at the -simworkers setting; the numbers CI's regression
-	// smoke step compares against the committed baseline fixture.
-	var sbench []experiments.SimBench
-	if *simb {
-		sbench, err = experiments.CollectSimBenches(r, r.SimWorkers)
-		if err != nil {
-			return fail(err)
-		}
-		if target == "" {
-			target = "sim"
-		}
-	}
-
 	if *asJSON {
 		if target == "" {
-			return fail(fmt.Errorf("-json needs -all, -fig, -ablations, -matrix, -decodebench or -simbench"))
+			return fail(fmt.Errorf("-json needs -all, -fig, -ablations or -matrix"))
 		}
-		if err := emitJSON(w, r, target, full, comp, dbench, sbench); err != nil {
+		if err := emitJSON(w, r, target, full, comp); err != nil {
 			return fail(err)
 		}
 		return 0
-	}
-
-	if *decodeb {
-		printDecodeBenches(w, dbench)
-		if target == "decode" && *table == 0 {
-			return 0
-		}
-	}
-
-	if *simb {
-		printSimBenches(w, sbench)
-		if target == "sim" && *table == 0 {
-			return 0
-		}
 	}
 
 	switch {
@@ -314,40 +261,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 }
 
 // emitJSON re-reads the memoised cells (warmed above) and writes the bench
-// trajectory, including the store's hit counters when one is attached and
-// the decode benchmarks when -decodebench was given.
-func emitJSON(w io.Writer, r *experiments.Runner, target string, full, comp []experiments.Cell, dbench []experiments.DecodeBench, sbench []experiments.SimBench) error {
+// trajectory, including the store's hit counters when one is attached.
+func emitJSON(w io.Writer, r *experiments.Runner, target string, full, comp []experiments.Cell) error {
 	traj, err := experiments.CollectTrajectory(r, target, full, comp)
 	if err != nil {
 		return err
 	}
-	traj.Decode = dbench
-	traj.Sim = sbench
 	return traj.WriteJSON(w)
-}
-
-// printSimBenches renders the -simbench throughput as a text table.
-func printSimBenches(w io.Writer, sbench []experiments.SimBench) {
-	fmt.Fprintf(w, "simulator throughput (trace replay under E2MC@MAG32)\n")
-	fmt.Fprintf(w, "  %-8s %8s %9s %8s %10s %12s %9s\n",
-		"workload", "events", "accesses", "replays", "ns/event", "events/s", "wall ms")
-	for _, b := range sbench {
-		fmt.Fprintf(w, "  %-8s %8d %9d %8d %10.1f %12.0f %9.2f\n",
-			b.Workload, b.Events, b.Accesses, b.Replays, b.NsPerEvent,
-			b.EventsPerSec, b.WallMs)
-	}
-}
-
-// printDecodeBenches renders the -decodebench timings as a text table.
-func printDecodeBenches(w io.Writer, dbench []experiments.DecodeBench) {
-	fmt.Fprintf(w, "entropy decode (ns/block over sampled corpora)\n")
-	fmt.Fprintf(w, "  %-8s %7s %10s %10s %10s %9s\n",
-		"workload", "blocks", "LUT", "reference", "parallel", "speedup")
-	for _, d := range dbench {
-		fmt.Fprintf(w, "  %-8s %7d %10.1f %10.1f %10.1f %8.2fx\n",
-			d.Workload, d.Blocks, d.LUTNsPerBlock, d.RefNsPerBlock,
-			d.ParNsPerBlock, d.Speedup)
-	}
 }
 
 // printMatrix renders a named subset as one line per cell, reading the

@@ -307,12 +307,55 @@ func cfgMust(t *testing.T, codec string, bound float64) Config {
 	return cfg
 }
 
+// TestConfigNames pins every Config constructor to NamedConfig: for each
+// registered codec at each MAG, the constructor that applies to it must
+// build the identical Config (cell names are result-store key material).
+// The literal names pin the format itself.
 func TestConfigNames(t *testing.T) {
-	if got := E2MCConfig(compress.MAG32).Name; got != "E2MC@32B" {
-		t.Errorf("name %q", got)
+	variants := map[string]slc.Variant{}
+	for _, v := range []slc.Variant{slc.SIMP, slc.PRED, slc.OPT} {
+		variants[slc.RegistryName(v)] = v
 	}
-	if got := TSLCConfig(slc.OPT, compress.MAG64, 256).Name; got != "TSLC-OPT@64B/t32B" {
-		t.Errorf("name %q", got)
+	for _, codec := range compress.Names() {
+		info, _ := compress.Lookup(codec)
+		for _, mag := range []compress.MAG{compress.MAG16, compress.MAG32, compress.MAG64} {
+			want, err := NamedConfig(codec, mag, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Config
+			switch {
+			case info.LossyBounded:
+				got = append(got, BoundedConfig(codec, mag, 0))
+			case info.Lossy:
+				v, ok := variants[codec]
+				if !ok {
+					t.Errorf("lossy codec %q has no Config constructor", codec)
+					continue
+				}
+				got = append(got, TSLCConfig(v, mag, DefaultThresholdBits))
+			default:
+				got = append(got, BaselineConfig(codec, mag))
+				if codec == "e2mc" {
+					got = append(got, E2MCConfig(mag))
+				}
+			}
+			for _, g := range got {
+				if g != want {
+					t.Errorf("%s@%s: constructor built %+v, NamedConfig %+v", codec, mag, g, want)
+				}
+			}
+		}
+	}
+	for cfg, want := range map[Config]string{
+		E2MCConfig(compress.MAG32):                       "E2MC@32B",
+		TSLCConfig(slc.OPT, compress.MAG64, 256):         "TSLC-OPT@64B/t32B",
+		BaselineConfig("bdi", compress.MAG16):            "BDI@16B",
+		BoundedConfig("sz-linear", compress.MAG32, 1e-5): "SZ-LINEAR@32B/eb1e-05",
+	} {
+		if cfg.Name != want {
+			t.Errorf("name %q, want %q", cfg.Name, want)
+		}
 	}
 }
 

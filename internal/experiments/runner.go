@@ -85,38 +85,44 @@ func NamedConfig(codec string, mag compress.MAG, thresholdBits int, errorBound f
 			return Config{}, fmt.Errorf("experiments: error bound must be positive and finite, got %v", errorBound)
 		}
 		cfg.ErrorBound = errorBound
-		cfg.Name = fmt.Sprintf("%s@%s/eb%.0e", strings.ToUpper(codec), mag, errorBound)
 	case info.Lossy:
 		if thresholdBits <= 0 {
 			thresholdBits = DefaultThresholdBits
 		}
 		cfg.ThresholdBits = thresholdBits
-		cfg.Name = fmt.Sprintf("%s@%s/t%dB", strings.ToUpper(codec), mag, thresholdBits/8)
-	default:
-		cfg.Name = fmt.Sprintf("%s@%s", strings.ToUpper(codec), mag)
 	}
-	return cfg, nil
+	return named(cfg), nil
+}
+
+// named sets cfg.Name from the codec and the parameters cfg carries:
+// "CODEC@MAG", plus "/ebX" for an error bound or "/tNB" for a lossy
+// threshold. Cell names are result-store key material, so every Config
+// constructor goes through here and the format exists once.
+func named(cfg Config) Config {
+	cfg.Name = fmt.Sprintf("%s@%s", strings.ToUpper(cfg.Codec), cfg.MAG)
+	switch {
+	case cfg.ErrorBound != 0:
+		cfg.Name += fmt.Sprintf("/eb%.0e", cfg.ErrorBound)
+	case cfg.ThresholdBits != 0:
+		cfg.Name += fmt.Sprintf("/t%dB", cfg.ThresholdBits/8)
+	}
+	return cfg
 }
 
 // E2MCConfig returns the lossless baseline at the given MAG.
 func E2MCConfig(mag compress.MAG) Config {
-	return Config{Name: fmt.Sprintf("E2MC@%s", mag), Codec: "e2mc", MAG: mag}
+	return named(Config{Codec: "e2mc", MAG: mag})
 }
 
 // TSLCConfig returns an SLC configuration.
 func TSLCConfig(v slc.Variant, mag compress.MAG, thresholdBits int) Config {
-	return Config{
-		Name:          fmt.Sprintf("%s@%s/t%dB", v, mag, thresholdBits/8),
-		Codec:         slc.RegistryName(v),
-		MAG:           mag,
-		ThresholdBits: thresholdBits,
-	}
+	return named(Config{Codec: slc.RegistryName(v), MAG: mag, ThresholdBits: thresholdBits})
 }
 
 // BaselineConfig returns one of the Figure 1 lossless codecs (or the raw
 // baseline) by registry name.
 func BaselineConfig(codec string, mag compress.MAG) Config {
-	return Config{Name: fmt.Sprintf("%s@%s", strings.ToUpper(codec), mag), Codec: codec, MAG: mag}
+	return named(Config{Codec: codec, MAG: mag})
 }
 
 // DefaultErrorBound is the absolute error bound error-bounded cells run at
@@ -129,12 +135,7 @@ func BoundedConfig(codec string, mag compress.MAG, errorBound float64) Config {
 	if errorBound == 0 {
 		errorBound = DefaultErrorBound
 	}
-	return Config{
-		Name:       fmt.Sprintf("%s@%s/eb%.0e", strings.ToUpper(codec), mag, errorBound),
-		Codec:      codec,
-		MAG:        mag,
-		ErrorBound: errorBound,
-	}
+	return named(Config{Codec: codec, MAG: mag, ErrorBound: errorBound})
 }
 
 // RunResult is everything measured for one workload × configuration.

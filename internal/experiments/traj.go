@@ -24,11 +24,10 @@ type CompressionResult struct {
 
 // Trajectory is the `slcbench -json` schema. Store, present only when a
 // result store is attached, carries the hit/miss counters that make "a warm
-// run recomputed nothing" observable; Decode (under `slcbench -decodebench`)
-// carries wall-clock decode timings and Sim (under `slcbench -simbench`)
-// simulator throughput. All three are deliberately separate from the result
-// sections, which must be bitwise-identical between cold and warm runs (and
-// across machines).
+// run recomputed nothing" observable; it is deliberately separate from the
+// result sections, which must be bitwise-identical between cold and warm
+// runs (and across machines). The trajectory carries no wall-clock timings:
+// host speed is measured by the bench/ module (bench/README.md).
 type Trajectory struct {
 	// Schema is the result-store schema version the trajectory was produced
 	// under; downstream plots use it to detect encoding drift.
@@ -36,8 +35,6 @@ type Trajectory struct {
 	Target      string
 	Results     []RunResult         `json:",omitempty"`
 	Compression []CompressionResult `json:",omitempty"`
-	Decode      []DecodeBench       `json:",omitempty"`
-	Sim         []SimBench          `json:",omitempty"`
 	Store       *resultstore.Stats  `json:",omitempty"`
 }
 

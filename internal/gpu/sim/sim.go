@@ -155,9 +155,9 @@ const (
 
 // Simulator replays traces under one fixed configuration. It is the
 // long-lived face of the simulation core: the engine, caches, memory system
-// and warp arrays are built by New and reset in place by Replay, so
-// throughput tooling (`slcbench -simbench`, the Sim trajectory section) can
-// replay the same trace repeatedly without allocating.
+// and warp arrays are built by New and reset in place by Replay, so a caller
+// (the package's BenchmarkSim* benchmarks, for one) can replay the same trace
+// repeatedly without allocating.
 type Simulator struct {
 	cfg       Config
 	smCycleNs float64

@@ -386,27 +386,42 @@ func BenchmarkSimSharded12(b *testing.B) { benchSim(b, 12) }
 
 // TestTypedMatchesRef pins the typed Simulator to the closure-based
 // reference engine (ref.go): both schedule the identical event sequence, so
-// every trace must produce a bitwise-equal Result, serial and sharded.
+// every trace must produce a bitwise-equal Result, serial and sharded. The
+// events column pins the per-replay event count, which is deterministic and
+// independent of the worker count: a change to it means the event stream
+// itself changed.
 func TestTypedMatchesRef(t *testing.T) {
-	traces := map[string]*trace.Trace{
-		"stream": streamTrace(128, 80, 3, 4),
-		"mixed":  mixedTrace(),
+	traces := []struct {
+		name   string
+		tr     *trace.Trace
+		events int64
+	}{
+		{"stream", streamTrace(128, 80, 3, 4), 63148},
+		{"mixed", mixedTrace(), 38450},
 	}
-	for name, tr := range traces {
+	for _, tc := range traces {
 		for _, workers := range []int{1, 4} {
 			cfg := DefaultConfig()
 			cfg.Workers = workers
-			want, err := RunRef(tr, cfg)
+			want, err := RunRef(tc.tr, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Run(tr, cfg)
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Replay(tc.tr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
 				t.Errorf("%s (workers %d): typed diverges from reference:\nref:   %+v\ntyped: %+v",
-					name, workers, want, got)
+					tc.name, workers, want, got)
+			}
+			if n := s.Events(); n != tc.events {
+				t.Errorf("%s (workers %d): %d events per replay, want %d (event stream changed)",
+					tc.name, workers, n, tc.events)
 			}
 		}
 	}
