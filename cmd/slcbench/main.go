@@ -13,7 +13,8 @@
 // -parallel N executes the evaluation matrix on N workers (0 = all cores)
 // before rendering; the figures then read the memoised results, so the
 // output is identical to a serial run. -simworkers N additionally shards
-// each cell's timing simulation across N event lanes (0 = all cores) with
+// each cell's timing simulation across N event lanes (0 = all cores) and,
+// above 1, replays each kernel while the workload computes the next, with
 // bitwise-identical results. -json replaces the text report with a JSON
 // dump of every executed cell — the format the bench trajectory is
 // recorded in.
@@ -74,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		listMat   = fs.Bool("list-matrix", false, "list registered matrix subsets and exit")
 		out       = fs.String("out", "", "write output to this file instead of stdout")
 		parallel  = fs.Int("parallel", 1, "evaluation workers (0 = all cores, 1 = serial)")
-		simw      = fs.Int("simworkers", 1, "worker goroutines per sharded timing simulation (0 = all cores, 1 = serial engine)")
+		simw      = fs.Int("simworkers", 1, "worker goroutines per sharded timing simulation (0 = all cores, 1 = serial engine); > 1 also replays each kernel while the workload computes the next")
 		asJSON    = fs.Bool("json", false, "emit the executed cells as JSON instead of the text report (-all, -fig, -ablations, -matrix)")
 		verbose   = fs.Bool("v", false, "log per-run progress to stderr")
 		store     = storeflag.RegisterOn(fs)

@@ -15,7 +15,8 @@
 // codecs (tslc-*) trace their lossless base on exact regions as the runner
 // does. -sim additionally replays the recorded trace
 // through the timing simulator; -simworkers shards the replay across event
-// lanes (results are identical to the serial engine).
+// lanes and, above 1, replays each kernel while the workload computes the
+// next (results are identical to the serial engine).
 package main
 
 import (
@@ -53,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bound     = fs.Float64("bound", 0, "absolute error bound (error-bounded codecs only; 0 = codec default)")
 		parallel  = fs.Int("parallel", 1, "worker goroutines for block compression (0 = all cores)")
 		simulate  = fs.Bool("sim", false, "also replay the trace through the timing simulator")
-		simw      = fs.Int("simworkers", 1, "worker goroutines for the sharded timing simulator (0 = all cores, 1 = serial engine)")
+		simw      = fs.Int("simworkers", 1, "worker goroutines for the sharded timing simulator (0 = all cores, 1 = serial engine); > 1 also replays each kernel while the workload computes the next")
 		store     = storeflag.RegisterOn(fs)
 	)
 	if err := fs.Parse(args); err != nil {
@@ -101,7 +102,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	pl.SetWorkers(experiments.Workers(*parallel))
 	rec := trace.NewRecorder(pl.BurstsFor)
-	if _, err := w.Run(workloads.NewCtx(dev, rec, pl.Sync)); err != nil {
+	record := func() error {
+		_, err := w.Run(workloads.NewCtx(dev, rec, pl.Sync))
+		return err
+	}
+	// With -sim the trace is also replayed: alongside the recording, kernel
+	// by kernel, when -simworkers > 1, and after it otherwise.
+	var res sim.Result
+	if *simulate {
+		sc := experiments.SimConfig(cfg)
+		sc.Workers = experiments.Workers(*simw)
+		if res, err = sim.RunRecording(rec, sc, record); err != nil {
+			return fail(err)
+		}
+	} else if err := record(); err != nil {
 		return fail(err)
 	}
 
@@ -139,12 +153,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "raw CR %.2f, effective CR %.2f\n", cs.RawRatio(), cs.EffectiveRatio())
 
 	if *simulate {
-		sc := experiments.SimConfig(cfg)
-		sc.Workers = experiments.Workers(*simw)
-		res, err := sim.Run(tr, sc)
-		if err != nil {
-			return fail(err)
-		}
 		fmt.Fprintf(stdout, "\ntiming replay: %.1f µs, %d bursts (%d metadata), %.2f MB data\n",
 			res.TimeNs/1e3, res.DramBursts, res.DramMetaBursts,
 			float64(res.DramBytes)/1e6)

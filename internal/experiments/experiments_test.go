@@ -1,13 +1,17 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/compress"
 	"repro/internal/gpu/sim"
+	"repro/internal/metrics"
 	"repro/internal/slc"
 	"repro/internal/workloads"
 )
@@ -200,9 +204,10 @@ func TestRunAllMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunAllParallelSyncMatchesSerial layers both levels of parallelism:
-// cell fan-out plus in-pipeline block fan-out must still reproduce the
-// serial results bitwise.
+// TestRunAllParallelSyncMatchesSerial layers every level of parallelism:
+// cell fan-out, in-pipeline block fan-out and the sharded simulator
+// streamed kernel by kernel alongside the workload (SimWorkers > 1) must
+// still reproduce the serial results bitwise.
 func TestRunAllParallelSyncMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runner integration in -short mode")
@@ -215,6 +220,7 @@ func TestRunAllParallelSyncMatchesSerial(t *testing.T) {
 	serial := NewRunner()
 	par := NewRunner()
 	par.SyncWorkers = 4
+	par.SimWorkers = 2
 	got, err := par.RunAll(cells, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -251,6 +257,83 @@ func TestRunAllReportsCellErrors(t *testing.T) {
 	}
 	if got[1].Workload == "" {
 		t.Error("good cell produced no result alongside the failing one")
+	}
+}
+
+// midRunFailure is a workload whose golden run succeeds but whose timed
+// run records a few kernels and then fails: with an error, with a panic, or
+// by handing the simulator a kernel it cannot replay (a nil one, standing in
+// for a broken model invariant) and recording on past a full stream.
+type midRunFailure struct {
+	name string
+	mode string // "error", "panic" or "sim-panic"
+}
+
+func (f midRunFailure) Info() workloads.Info {
+	return workloads.Info{Name: f.name, Metric: metrics.MRE}
+}
+
+func (f midRunFailure) Run(ctx *workloads.Ctx) ([]float64, error) {
+	if ctx.Rec == nil {
+		return []float64{1, 2, 3}, nil
+	}
+	kernels := 3
+	if f.mode == "sim-panic" {
+		ctx.Rec.Sink(nil)
+		kernels = 200
+	}
+	for k := 0; k < kernels; k++ {
+		ctx.Rec.BeginKernel("k", 64)
+		for w := 0; w < 64; w++ {
+			for i := 0; i < 20; i++ {
+				ctx.Rec.Access(w, uint64((k*64+w)*20+i)*128, i%4 == 0, 2)
+			}
+		}
+	}
+	switch f.mode {
+	case "panic":
+		panic("workload panicked mid-run")
+	case "error":
+		return nil, errors.New("workload failed mid-run")
+	}
+	return []float64{1, 2, 3}, nil
+}
+
+// TestStreamedRunFailureIsCellError: a workload failing or panicking
+// partway through a cell whose replay streams (SimWorkers 2), or the
+// simulator goroutine panicking under it, must surface as that cell's
+// error, and the simulator goroutine fed by the kernel stream must not
+// outlive the cell.
+func TestStreamedRunFailureIsCellError(t *testing.T) {
+	for _, tc := range []struct {
+		f    midRunFailure
+		want string
+	}{
+		{midRunFailure{"FAIL-ERR", "error"}, "failed mid-run"},
+		{midRunFailure{"FAIL-PANIC", "panic"}, "panic: workload panicked mid-run"},
+		{midRunFailure{"FAIL-SIM", "sim-panic"}, "panic: runtime error"},
+	} {
+		before := runtime.NumGoroutine()
+		r := NewRunner()
+		r.SimWorkers = 2
+		_, err := r.RunAll([]Cell{{tc.f, BaselineConfig("raw", compress.MAG32)}}, 1)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RunAll error = %v, want one containing %q", tc.f.name, err, tc.want)
+		}
+		waitGoroutines(t, before)
+	}
+}
+
+// waitGoroutines waits for the goroutine count to fall back to baseline:
+// goroutines stopped by a call finish exiting asynchronously after it.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d: a goroutine leaked", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

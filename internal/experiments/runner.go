@@ -175,8 +175,10 @@ type Runner struct {
 
 	// SimWorkers, when > 1, shards each timing simulation across that many
 	// goroutines (one event lane per DRAM channel plus the SM/L2
-	// coordinator; see sim.Config.Workers). Results are bitwise-identical
-	// to the serial engine, so memoised cells are unaffected.
+	// coordinator; see sim.Config.Workers) and also overlaps the replay
+	// with the workload: each kernel is replayed on its own goroutine while
+	// the workload computes the next. Results are bitwise-identical to the
+	// serial engine, so memoised cells are unaffected.
 	SimWorkers int
 
 	progressMu sync.Mutex
@@ -302,29 +304,15 @@ func (r *Runner) Run(w workloads.Workload, cfg Config) (RunResult, error) {
 			return RunResult{}, err
 		}
 		r.progress("run: %s × %s", info.Name, cfg.Name)
-
-		dev := device.New()
-		pl, err := r.newPipeline(dev, cfg, lossless, lossy)
+		tc, err := r.timedRun(w, cfg, lossless, lossy, nil)
 		if err != nil {
 			return RunResult{}, err
 		}
-		rec := trace.NewRecorder(pl.BurstsFor)
-		out, err := w.Run(workloads.NewCtx(dev, rec, pl.Sync))
-		if err != nil {
-			return RunResult{}, fmt.Errorf("%s × %s: %w", info.Name, cfg.Name, err)
-		}
-		errFrac, err := metrics.Eval(info.Metric, golden, out)
+		errFrac, err := metrics.Eval(info.Metric, golden, tc.out)
 		if err != nil {
 			return RunResult{}, err
 		}
-		tr := rec.Trace()
-		sc := SimConfig(cfg)
-		sc.Workers = r.SimWorkers
-		simRes, err := sim.Run(tr, sc)
-		if err != nil {
-			return RunResult{}, err
-		}
-		energy, err := power.Compute(simRes, power.Default())
+		energy, err := power.Compute(tc.sim, power.Default())
 		if err != nil {
 			return RunResult{}, err
 		}
@@ -332,10 +320,10 @@ func (r *Runner) Run(w workloads.Workload, cfg Config) (RunResult, error) {
 			Workload:  info.Name,
 			Config:    cfg,
 			ErrorFrac: errFrac,
-			Sim:       simRes,
+			Sim:       tc.sim,
 			Energy:    energy,
-			Comp:      pl.Stats(),
-			Trace:     tr.Stats(cfg.MAG),
+			Comp:      tc.comp,
+			Trace:     tc.trace.Stats(cfg.MAG),
 		}
 		if usable {
 			r.storePut(func() error { return r.Store.PutJSON(dkey, kindCell, res) }, kindCell)
@@ -576,19 +564,48 @@ func RerunTiming(r *Runner, w workloads.Workload, cfg Config, mod func(*sim.Conf
 	if err != nil {
 		return sim.Result{}, err
 	}
-	dev := device.New()
-	pl, err := r.newPipeline(dev, cfg, lossless, lossy)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	rec := trace.NewRecorder(pl.BurstsFor)
-	if _, err := w.Run(workloads.NewCtx(dev, rec, pl.Sync)); err != nil {
-		return sim.Result{}, err
-	}
+	tc, err := r.timedRun(w, cfg, lossless, lossy, mod)
+	return tc.sim, err
+}
+
+// timedCell is what one timed run of a cell produces.
+type timedCell struct {
+	out   []float64 // the workload's outputs, for error evaluation
+	comp  pipeline.Stats
+	trace *trace.Trace
+	sim   sim.Result
+}
+
+// timedRun runs w under cfg's pipeline with a trace recorder and replays the
+// trace on the timing simulator (SimConfig(cfg) with the runner's
+// SimWorkers, then mod). It is the one timed-run path of Run and
+// RerunTiming. With SimWorkers > 1 the replay overlaps the workload, kernel
+// by kernel (see sim.RunRecording); the Result is
+// bitwise-identical either way.
+func (r *Runner) timedRun(w workloads.Workload, cfg Config, lossless, lossy compress.Codec, mod func(*sim.Config)) (timedCell, error) {
 	sc := SimConfig(cfg)
 	sc.Workers = r.SimWorkers
 	if mod != nil {
 		mod(&sc)
 	}
-	return sim.Run(rec.Trace(), sc)
+	dev := device.New()
+	pl, err := r.newPipeline(dev, cfg, lossless, lossy)
+	if err != nil {
+		return timedCell{}, err
+	}
+	rec := trace.NewRecorder(pl.BurstsFor)
+	tc := timedCell{trace: rec.Trace()}
+	tc.sim, err = sim.RunRecording(rec, sc, func() error {
+		out, err := w.Run(workloads.NewCtx(dev, rec, pl.Sync))
+		if err != nil {
+			return fmt.Errorf("%s × %s: %w", w.Info().Name, cfg.Name, err)
+		}
+		tc.out = out
+		return nil
+	})
+	if err != nil {
+		return timedCell{}, err
+	}
+	tc.comp = pl.Stats()
+	return tc, nil
 }

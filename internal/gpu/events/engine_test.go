@@ -3,7 +3,9 @@ package events
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // pingPong builds a deterministic multi-lane workload on an engine: lane 0
@@ -155,5 +157,51 @@ func TestEngineClampsPastTimes(t *testing.T) {
 	e.Run(1)
 	if when != 10 {
 		t.Errorf("past event ran at %v, want 10", when)
+	}
+}
+
+// TestEngineParallelPanicReachesCaller: a handler panicking on a channel
+// lane — which the parallel engine may run on a helper goroutine — must
+// unwind Run's caller after the window's barrier instead of killing the
+// process, and must leave no helper goroutine behind.
+func TestEngineParallelPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		before := runtime.NumGoroutine()
+		e := NewEngine(4, 10)
+		for i := 1; i < e.Lanes(); i++ {
+			e.Lane(i).SetHandler(KindTest, handlerFunc(func(now float64, ev Event) {
+				if ev.A == 2 {
+					panic("boom on lane 2")
+				}
+			}))
+		}
+		coord := e.Lane(0)
+		coord.At(0, func() {
+			for i := 1; i < e.Lanes(); i++ {
+				coord.SendEvent(e.Lane(i), coord.Now()+10, Event{Kind: KindTest, A: uint32(i)})
+			}
+		})
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			e.Run(workers)
+			return nil
+		}()
+		if got != "boom on lane 2" {
+			t.Errorf("workers=%d: Run recovered %v, want the lane's panic", workers, got)
+		}
+		waitGoroutines(t, before)
+	}
+}
+
+// waitGoroutines waits for the goroutine count to fall back to baseline:
+// exiting goroutines finish asynchronously after the call that stopped them.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d: a helper leaked", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

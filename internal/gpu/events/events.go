@@ -12,6 +12,14 @@
 // parallel path (conservative time windows bounded by the minimum cross-lane
 // latency) replay identically, event for event.
 //
+// In a parallel window the calling goroutine runs the coordinator lane (lane
+// 0, the heaviest: about half of a simulator replay's events) first, while
+// helper goroutines — woken once per window — and then the caller itself
+// claim the window's remaining active lanes from a shared atomic cursor. A
+// panic raised on any of them is recovered and re-raised on Run's caller
+// after the window's barrier, so a broken model invariant surfaces as the
+// caller's panic rather than killing the process from a helper.
+//
 // Scheduling has two forms sharing one pool and one ordering key:
 //
 //   - The typed form (AtEvent/SendEvent) carries a small value Event record
@@ -35,6 +43,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Event is one typed scheduled event: a component kind, a component-private
@@ -589,16 +598,56 @@ func (e *Engine) runSerial() {
 	}
 }
 
-type laneTask struct {
-	lane    *Lane
+// window is the state one parallel time window shares between the calling
+// goroutine and the helper workers: the active lanes, the horizon they drain
+// to, and the cursor the workers claim lanes from. Index 0 is never claimed
+// from the cursor — the caller runs it first — so the coordinator lane, the
+// heaviest when active, starts the moment the window opens instead of
+// queueing behind the channel lanes.
+type window struct {
+	lanes   []*Lane
 	horizon float64
+	next    atomic.Int32
+	// wake carries one token per helper woken for the current window; done
+	// counts the woken helpers back in at the barrier.
+	wake chan struct{}
+	done sync.WaitGroup
+	// panicked holds the first panic raised on any worker during the
+	// window, re-raised on the caller after the barrier.
+	mu       sync.Mutex
+	panicked any
+}
+
+// drain runs first (when non-nil), then lanes claimed from the shared cursor
+// until none remain. A panic — a lookahead violation, a missing handler, a
+// model invariant — is recorded instead of unwinding the worker, so it
+// reaches Run's caller rather than killing the process from a helper
+// goroutine.
+func (w *window) drain(first *Lane) {
+	defer func() {
+		if v := recover(); v != nil {
+			w.mu.Lock()
+			if w.panicked == nil {
+				w.panicked = v
+			}
+			w.mu.Unlock()
+		}
+	}()
+	if first != nil {
+		first.runWindow(w.horizon)
+	}
+	for i := int(w.next.Add(1)); i < len(w.lanes); i = int(w.next.Add(1)) {
+		w.lanes[i].runWindow(w.horizon)
+	}
 }
 
 // runParallel executes conservative time windows on a persistent worker
 // pool. Each window: find the global minimum pending time T, let every lane
 // with events below T+lookahead drain that range concurrently, then deliver
 // the buffered cross-lane messages (all provably at or beyond the horizon)
-// and repeat.
+// and repeat. The calling goroutine runs the window's first active lane
+// (lane 0, the coordinator, whenever it is active) and then joins the woken
+// helpers in claiming the rest from the window's cursor.
 func (e *Engine) runParallel(workers int) {
 	e.parallel = true
 	defer func() { e.parallel = false }()
@@ -606,17 +655,16 @@ func (e *Engine) runParallel(workers int) {
 	if workers > len(e.lanes) {
 		workers = len(e.lanes)
 	}
-	tasks := make(chan laneTask)
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
+	w := &window{wake: make(chan struct{}, workers-1)}
+	for i := 1; i < workers; i++ {
 		go func() {
-			for tk := range tasks {
-				tk.lane.runWindow(tk.horizon)
-				wg.Done()
+			for range w.wake {
+				w.drain(nil)
+				w.done.Done()
 			}
 		}()
 	}
-	defer close(tasks)
+	defer close(w.wake)
 
 	active := make([]*Lane, 0, len(e.lanes))
 	for {
@@ -636,15 +684,21 @@ func (e *Engine) runParallel(workers int) {
 				active = append(active, l)
 			}
 		}
-		// Fan all but the first active lane to the pool and run the first
-		// (lane 0, the coordinator, when it is active — typically the
-		// heaviest) inline on this goroutine.
-		for _, l := range active[1:] {
-			wg.Add(1)
-			tasks <- laneTask{lane: l, horizon: horizon}
+		w.lanes, w.horizon = active, horizon
+		w.next.Store(0)
+		// Wake one helper per active lane beyond the caller's, at most one
+		// per helper: each woken helper consumes exactly one token and
+		// counts itself back in, so the buffer never fills.
+		helpers := min(len(active)-1, workers-1)
+		w.done.Add(helpers)
+		for i := 0; i < helpers; i++ {
+			w.wake <- struct{}{}
 		}
-		active[0].runWindow(horizon)
-		wg.Wait()
+		w.drain(active[0])
+		w.done.Wait()
+		if w.panicked != nil {
+			panic(w.panicked)
+		}
 
 		// Deliver buffered messages: the barrier is single-threaded, so
 		// copying a record into the target lane's pool is race-free.

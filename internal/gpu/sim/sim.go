@@ -16,20 +16,24 @@
 // lane, exchanging messages that always carry at least the memory-path
 // latency. That latency is the engine's lookahead, so Config.Workers > 1
 // replays the lanes concurrently inside conservative time windows with
-// results bitwise-identical to the serial engine (Workers ≤ 1).
+// results bitwise-identical to the serial engine (Workers ≤ 1). With
+// Workers > 1, RunRecording also overlaps the replay with the workload that
+// records the trace, replaying each kernel as soon as it is finished.
 //
 // Simulator is the typed-event implementation: warp progress is driven by
 // small value Event records (opTryIssue/opIssue/opRespond) dispatched
 // through the lanes' handler tables, and all model state — engine, caches,
 // memory system, warp and SM arrays — is built once in New and reset in
-// place by Replay. After a warm-up replay the steady-state loop performs
-// zero heap allocations (pinned by TestSimSteadyStateAllocFree). RunRef in
+// place by Replay (or by Start, for a replay streamed kernel by kernel).
+// After a warm-up replay the steady-state loop performs zero heap
+// allocations (pinned by TestSimSteadyStateAllocFree). RunRef in
 // ref.go is the closure-based twin that schedules the identical event
 // sequence; the two must return bitwise-equal Results.
 package sim
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/compress"
 	"repro/internal/gpu/cache"
@@ -63,8 +67,8 @@ type Config struct {
 	WarpMLP int
 	MC      mc.Config
 	// Workers is the number of goroutines draining the event lanes: ≤ 1
-	// selects the serial engine, larger values the sharded engine. Results
-	// are bitwise-identical either way.
+	// selects the serial engine, larger values the sharded engine (and a
+	// streamed RunRecording). Results are bitwise-identical either way.
 	Workers int
 
 	// Display-only fields of Table II (not modelled directly: the L1 is
@@ -240,7 +244,8 @@ func New(cfg Config) (*Simulator, error) {
 }
 
 // Events returns the number of discrete events the engine executed during
-// the last Replay — the denominator of the ns/event throughput metric.
+// the last Replay or streamed replay — the denominator of the ns/event
+// throughput metric.
 func (s *Simulator) Events() int64 { return s.events }
 
 // Run replays a trace and returns timing and event counts.
@@ -255,12 +260,126 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 // Replay replays one trace from a cold start and returns timing and event
 // counts. Replaying the same trace twice yields bitwise-identical Results;
 // after the first replay has grown the event pools and queue arenas to the
-// trace's high-water marks, further replays do not touch the heap.
+// trace's high-water marks, further replays do not touch the heap. Replay is
+// the streamed form run over a finished trace: Start, Kernel per kernel in
+// launch order, Finish.
 func (s *Simulator) Replay(tr *trace.Trace) (Result, error) {
-	s.reset()
+	s.Start()
 	for i := range tr.Kernels {
-		s.runKernel(&tr.Kernels[i])
+		s.Kernel(&tr.Kernels[i])
 	}
+	return s.Finish(), nil
+}
+
+// kernelBacklog bounds how many finished kernels a streamed RunRecording
+// buffers ahead of the simulator. Workloads launch a few dozen kernels at
+// most, so the workload practically never waits on the simulator.
+const kernelBacklog = 64
+
+// RunRecording calls record — a workload filling rec — and replays the
+// trace rec records under cfg, returning the replay's Result. With
+// cfg.Workers > 1, a simulation given more than one core, the replay
+// streams: a goroutine replays each kernel as rec finishes it (rec.Sink),
+// overlapping the replay with the workload computing the next kernel.
+// Otherwise the simulator is built and run on the calling goroutine once
+// record returns, exactly as Run: a one-worker simulation may share the
+// machine with other cells, and a second goroutine would only oversubscribe
+// it. The simulator sees the same kernels in the same order either way, so
+// the Result is bitwise-equal to Run's over rec.Trace().
+func RunRecording(rec *trace.Recorder, cfg Config, record func() error) (Result, error) {
+	if cfg.Workers <= 1 {
+		if err := record(); err != nil {
+			return Result{}, err
+		}
+		return Run(rec.Trace(), cfg)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.replayStreamed(rec, record)
+}
+
+// replayStreamed is RunRecording's streamed form. However record ends —
+// returning, failing or panicking — the kernel stream is closed and the
+// replay goroutine joined before replayStreamed returns, so it never leaks,
+// and a panic on the replay goroutine (a model invariant such as a kernel
+// draining with warps unfinished) is re-raised on the caller. If record
+// fails, the kernels still queued are skipped.
+func (s *Simulator) replayStreamed(rec *trace.Recorder, record func() error) (Result, error) {
+	kernels := make(chan *trace.Kernel, kernelBacklog)
+	var abandoned atomic.Bool
+	replayed := make(chan any, 1)
+	s.Start()
+	go func() {
+		defer func() {
+			v := recover()
+			for range kernels {
+				// After a panic, keep the stream moving so record never
+				// blocks on a full channel.
+			}
+			replayed <- v
+		}()
+		for k := range kernels {
+			if !abandoned.Load() {
+				s.Kernel(k)
+			}
+		}
+	}()
+	rec.Sink = func(k *trace.Kernel) { kernels <- k }
+	defer func() { rec.Sink = nil }()
+
+	var (
+		err         error
+		replayPanic any
+	)
+	func() {
+		ok := false
+		defer func() {
+			abandoned.Store(!ok)
+			close(kernels)
+			replayPanic = <-replayed
+		}()
+		if err = record(); err == nil {
+			rec.Close()
+			ok = true
+		}
+	}()
+	if replayPanic != nil {
+		panic(replayPanic)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	return s.Finish(), nil
+}
+
+// Start begins a streamed replay from a cold start, rewinding every
+// component in place. Kernel then replays the trace's kernels one at a time
+// as they become available — while the workload is still recording later
+// ones — and Finish returns the Result, bitwise-equal to Replay's over the
+// same kernels.
+func (s *Simulator) Start() {
+	s.eng.Reset()
+	s.mem.Reset()
+	s.l2.Reset()
+	for _, l1 := range s.l1s {
+		l1.Reset()
+	}
+	for i := range s.sms {
+		s.sms[i] = smState{pending: s.sms[i].pending[:0]}
+	}
+	s.warps = s.warps[:0]
+	clear(s.lastWrite)
+	s.remaining = 0
+	s.endNs = 0
+	s.res = Result{}
+	s.events = 0
+}
+
+// Finish ends a streamed replay and returns its Result. Events then reports
+// the replay's event count.
+func (s *Simulator) Finish() Result {
 	s.res.TimeNs = s.endNs
 	s.res.SMCycles = s.endNs / s.smCycleNs
 	for _, l1 := range s.l1s {
@@ -279,26 +398,7 @@ func (s *Simulator) Replay(tr *trace.Trace) (Result, error) {
 	s.res.Activations = ds.Activations
 	s.res.BusBusyNs = ds.BusBusyNs
 	s.events = s.eng.Executed()
-	return s.res, nil
-}
-
-// reset rewinds every component to its cold-start state in place.
-func (s *Simulator) reset() {
-	s.eng.Reset()
-	s.mem.Reset()
-	s.l2.Reset()
-	for _, l1 := range s.l1s {
-		l1.Reset()
-	}
-	for i := range s.sms {
-		s.sms[i] = smState{pending: s.sms[i].pending[:0]}
-	}
-	s.warps = s.warps[:0]
-	clear(s.lastWrite)
-	s.remaining = 0
-	s.endNs = 0
-	s.res = Result{}
-	s.events = 0
+	return s.res
 }
 
 // HandleEvent dispatches the front-end's typed events on the coordinator.
@@ -316,7 +416,10 @@ func (s *Simulator) HandleEvent(now float64, ev events.Event) {
 	}
 }
 
-func (s *Simulator) runKernel(k *trace.Kernel) {
+// Kernel replays the next kernel of a streamed replay (see Start): its warps
+// start at the previous kernel's end, behind a barrier. It panics if the
+// engine drains with warps unfinished, a model invariant.
+func (s *Simulator) Kernel(k *trace.Kernel) {
 	start := s.endNs
 	// L1s are flushed at kernel boundaries, as on real GPUs.
 	for i := range s.l1s {

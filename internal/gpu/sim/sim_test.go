@@ -379,8 +379,10 @@ func benchSim(b *testing.B, workers int) {
 
 // BenchmarkSimSerial and BenchmarkSimSharded12 compare the serial engine to
 // twelve workers over the 13 lanes (coordinator + 12 channels) on a
-// bandwidth-bound trace.
+// bandwidth-bound trace. BenchmarkSimSharded2 is the two-core shape a cell
+// with SimWorkers = 2 replays at.
 func BenchmarkSimSerial(b *testing.B)    { benchSim(b, 1) }
+func BenchmarkSimSharded2(b *testing.B)  { benchSim(b, 2) }
 func BenchmarkSimSharded4(b *testing.B)  { benchSim(b, 4) }
 func BenchmarkSimSharded12(b *testing.B) { benchSim(b, 12) }
 
@@ -422,6 +424,73 @@ func TestTypedMatchesRef(t *testing.T) {
 			if n := s.Events(); n != tc.events {
 				t.Errorf("%s (workers %d): %d events per replay, want %d (event stream changed)",
 					tc.name, workers, n, tc.events)
+			}
+		}
+	}
+}
+
+// TestStreamedMatchesReplay pins the streamed form (Start, Kernel per
+// kernel, Finish) that overlaps the replay with the workload: fed kernel by
+// kernel, on a simulator dirtied by an earlier replay, it must return
+// Replay's Result bitwise and execute the same events per replay as
+// TestTypedMatchesRef's column, serial and sharded. RunRecording, which
+// streams the kernels to a replay goroutine when Workers > 1, must agree
+// too.
+func TestStreamedMatchesReplay(t *testing.T) {
+	traces := []struct {
+		name   string
+		tr     *trace.Trace
+		events int64
+	}{
+		{"stream", streamTrace(128, 80, 3, 4), 63148},
+		{"mixed", mixedTrace(), 38450},
+	}
+	for _, tc := range traces {
+		for _, workers := range []int{1, 2, 4} {
+			cfg := DefaultConfig()
+			cfg.Workers = workers
+			want, err := Run(tc.tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Replay(streamTrace(16, 10, 2, 1)); err != nil {
+				t.Fatal(err)
+			}
+			s.Start()
+			for i := range tc.tr.Kernels {
+				s.Kernel(&tc.tr.Kernels[i])
+			}
+			if got := s.Finish(); got != want {
+				t.Errorf("%s (workers %d): streamed diverges from Replay:\nreplay:   %+v\nstreamed: %+v",
+					tc.name, workers, want, got)
+			}
+			if n := s.Events(); n != tc.events {
+				t.Errorf("%s (workers %d): %d events per streamed replay, want %d",
+					tc.name, workers, n, tc.events)
+			}
+			// Record the trace's kernels as a workload would: each lands in
+			// the recorder's trace and, once finished, in its Sink (set only
+			// when the replay streams).
+			rec := trace.NewRecorder(nil)
+			got, err := RunRecording(rec, cfg, func() error {
+				for i := range tc.tr.Kernels {
+					rec.Trace().Kernels = append(rec.Trace().Kernels, tc.tr.Kernels[i])
+					if rec.Sink != nil {
+						rec.Sink(&tc.tr.Kernels[i])
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s (workers %d): RunRecording diverges from Replay:\nreplay:    %+v\nrecording: %+v",
+					tc.name, workers, want, got)
 			}
 		}
 	}

@@ -67,8 +67,16 @@ func (t *Trace) Stats(mag compress.MAG) Stats {
 // Recorder builds a trace as a workload runs. BurstsFor supplies the burst
 // count and compressed flag per block under the active compression
 // configuration; it must be set before any Access call.
+//
+// Sink, when set, receives each kernel once it is finished — at the next
+// BeginKernel, or at Close for the last one — so a consumer such as the
+// timing simulator can replay kernel N while the workload computes kernel
+// N+1. A finished kernel is never modified again, so the consumer may read
+// it from another goroutine; the recorded Trace keeps every kernel either
+// way.
 type Recorder struct {
 	BurstsFor func(addr uint64) (bursts int, compressed bool)
+	Sink      func(k *Kernel)
 	trace     Trace
 	cur       *Kernel
 }
@@ -78,13 +86,24 @@ func NewRecorder(burstsFor func(addr uint64) (int, bool)) *Recorder {
 	return &Recorder{BurstsFor: burstsFor}
 }
 
-// BeginKernel starts a new kernel with the given warp count.
+// BeginKernel finishes the current kernel, if any, and starts a new one with
+// the given warp count.
 func (r *Recorder) BeginKernel(name string, warps int) {
+	r.Close()
 	r.trace.Kernels = append(r.trace.Kernels, Kernel{
 		Name:  name,
 		Warps: make([][]Access, warps),
 	})
 	r.cur = &r.trace.Kernels[len(r.trace.Kernels)-1]
+}
+
+// Close finishes the current kernel, handing it to Sink. It is idempotent;
+// a later BeginKernel starts a new kernel as usual.
+func (r *Recorder) Close() {
+	if r.cur != nil && r.Sink != nil {
+		r.Sink(r.cur)
+	}
+	r.cur = nil
 }
 
 // Access appends one block access for a warp. addr is truncated to its block;

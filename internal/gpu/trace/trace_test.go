@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/compress"
@@ -70,5 +72,28 @@ func TestStats(t *testing.T) {
 	}
 	if s.Compute != 11 {
 		t.Errorf("compute = %d, want 11", s.Compute)
+	}
+}
+
+func TestRecorderSinkGetsFinishedKernels(t *testing.T) {
+	r := NewRecorder(func(uint64) (int, bool) { return 1, false })
+	var got []string
+	r.Sink = func(k *Kernel) { got = append(got, fmt.Sprintf("%s:%d", k.Name, len(k.Warps[0]))) }
+	r.BeginKernel("a", 1)
+	r.Access(0, 0, false, 1)
+	if len(got) != 0 {
+		t.Fatalf("kernel handed to the sink before it finished: %v", got)
+	}
+	r.BeginKernel("b", 1) // finishes a
+	r.Access(0, 128, false, 1)
+	r.Access(0, 256, false, 1)
+	r.Close() // finishes b
+	r.Close() // idempotent
+	want := []string{"a:1", "b:2"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sink got %v, want %v", got, want)
+	}
+	if n := len(r.Trace().Kernels); n != 2 {
+		t.Errorf("trace kept %d kernels, want 2", n)
 	}
 }
