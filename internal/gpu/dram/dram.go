@@ -95,12 +95,11 @@ type bank struct {
 // nilIdx terminates intrusive lists.
 const nilIdx = int32(-1)
 
-// request is one pooled queue entry. Completion is either a closure (done,
-// the reference path) or a typed event (doneEv, dispatched through the
-// channel's Completer at the bus-end time); doneEv.Kind == KindNone means no
-// typed completion. The next/prev fields thread the request onto its row
-// list and bank list (doubly linked, unlinked eagerly when served) and the
-// arrival FIFO (singly linked, drained lazily from the head).
+// request is one pooled queue entry. Its completion doneEv is scheduled on
+// the channel's lane at the bus-end time; doneEv.Kind == KindNone means no
+// completion (a posted write). The next/prev fields thread the request onto
+// its row list and bank list (doubly linked, unlinked eagerly when served)
+// and the arrival FIFO (singly linked, drained lazily from the head).
 //
 //slclint:pooled
 type request struct {
@@ -108,7 +107,6 @@ type request struct {
 	row                uint64
 	arrival            float64
 	seq                int64
-	done               func(completionNs float64)
 	doneEv             events.Event
 	nextRow, prevRow   int32
 	nextBank, prevBank int32
@@ -124,18 +122,14 @@ type list struct {
 	head, tail int32
 }
 
-// Channel is one GDDR5 channel draining an FR-FCFS queue on its event
-// scheduler — the shared queue in standalone use, or the channel's own lane
-// in the sharded simulator. All channel state is local to that scheduler.
+// Channel is one GDDR5 channel draining an FR-FCFS queue on its event lane.
+// All channel state is local to that lane. The drain self-schedules drainEv
+// on the lane; request completions are the enqueuer's own events, dispatched
+// to whatever handler their Kind has there.
 type Channel struct {
 	cfg     Config
 	cycleNs float64
-	q       events.Scheduler
-	drainFn func() // pre-bound ch.drain for the closure path
-	// Typed mode (EnableEvents): drain self-schedules drainEv through qe;
-	// request completions are the enqueuer's own typed events, dispatched to
-	// whatever handler their Kind has on the channel's scheduler.
-	qe      events.EventScheduler
+	lane    *events.Lane
 	drainEv events.Event
 
 	banks    []bank
@@ -151,34 +145,27 @@ type Channel struct {
 	stats    Stats
 }
 
-// NewChannel builds a channel on the given event scheduler. The per-bank
-// queue heads are sized from cfg once and reused for the channel's lifetime.
-func NewChannel(cfg Config, q events.Scheduler) (*Channel, error) {
+// NewChannel builds a channel draining on lane. The lane's handler for
+// drainEv.Kind must route drainEv back to DrainStep. The per-bank queue
+// heads are sized from cfg once and reused for the channel's lifetime.
+func NewChannel(cfg Config, lane *events.Lane, drainEv events.Event) (*Channel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if q == nil {
-		return nil, fmt.Errorf("dram: nil event queue")
+	if lane == nil {
+		return nil, fmt.Errorf("dram: nil event lane")
 	}
 	ch := &Channel{
 		cfg:     cfg,
 		cycleNs: cfg.CycleNs(),
-		q:       q,
+		lane:    lane,
+		drainEv: drainEv,
 		banks:   make([]bank, cfg.Banks),
 		byRow:   make(map[uint64]list),
 		byBank:  make([]list, cfg.Banks),
 	}
-	ch.drainFn = ch.drain
 	ch.clearLists()
 	return ch, nil
-}
-
-// EnableEvents switches the channel to typed-event mode: drain scheduling
-// uses drainEv on qe, whose handler for drainEv.Kind must route the event
-// back to DrainStep.
-func (ch *Channel) EnableEvents(qe events.EventScheduler, drainEv events.Event) {
-	ch.qe = qe
-	ch.drainEv = drainEv
 }
 
 // Reset empties the channel for a fresh replay: queues, banks, bus and
@@ -206,7 +193,7 @@ func (ch *Channel) clearLists() {
 	ch.fifoHead, ch.fifoTail = nilIdx, nilIdx
 }
 
-func (ch *Channel) now() float64 { return ch.q.Now() }
+func (ch *Channel) now() float64 { return ch.lane.Now() }
 
 // alloc takes an arena slot from the freelist, growing the arena only when
 // the live backlog exceeds every previous peak.
@@ -220,34 +207,19 @@ func (ch *Channel) alloc() int32 {
 	return int32(len(ch.reqs) - 1)
 }
 
-// release returns a slot whose request has left every list. Zeroing drops
-// the closure reference so the arena never retains a completed callback.
+// release returns a slot whose request has left every list. The slot's
+// next occupant overwrites it whole, so it needs no clearing.
 func (ch *Channel) release(idx int32) {
-	ch.reqs[idx] = request{}
 	ch.free = append(ch.free, idx)
 }
 
-// Enqueue submits a request at the current simulation time; done (may be
-// nil for posted writes) is invoked at its completion time.
-func (ch *Channel) Enqueue(addr uint64, bursts int, done func(completionNs float64)) {
-	ch.enqueue(addr, bursts, false, done, events.Event{})
-}
-
-// EnqueueMeta submits a compression-metadata fetch. It is scheduled exactly
-// like a data request but accounted under Stats.MetaBursts, so data and
-// metadata traffic can be reported separately.
-func (ch *Channel) EnqueueMeta(addr uint64, bursts int, done func(completionNs float64)) {
-	ch.enqueue(addr, bursts, true, done, events.Event{})
-}
-
-// EnqueueEvent submits a request whose completion is the typed event doneEv,
-// dispatched through the channel's Completer at the bus-end time (Kind
-// KindNone = posted, no completion). meta selects metadata accounting.
+// EnqueueEvent submits a request at the current simulation time. Its
+// completion doneEv is scheduled on the channel's lane at the bus-end time
+// (Kind KindNone = posted, no completion). meta marks a
+// compression-metadata fetch: it is scheduled exactly like a data request
+// but accounted under Stats.MetaBursts, so data and metadata traffic can be
+// reported separately.
 func (ch *Channel) EnqueueEvent(addr uint64, bursts int, meta bool, doneEv events.Event) {
-	ch.enqueue(addr, bursts, meta, nil, doneEv)
-}
-
-func (ch *Channel) enqueue(addr uint64, bursts int, meta bool, done func(float64), doneEv events.Event) {
 	if bursts < 1 {
 		bursts = 1
 	}
@@ -258,7 +230,6 @@ func (ch *Channel) enqueue(addr uint64, bursts int, meta bool, done func(float64
 		addr:     addr,
 		arrival:  ch.now(),
 		seq:      ch.seq,
-		done:     done,
 		doneEv:   doneEv,
 		nextRow:  nilIdx,
 		prevRow:  nilIdx,
@@ -297,11 +268,7 @@ func (ch *Channel) enqueue(addr uint64, bursts int, meta bool, done func(float64
 
 	if !ch.draining {
 		ch.draining = true
-		if ch.qe != nil {
-			ch.qe.AtEvent(ch.now(), ch.drainEv)
-		} else {
-			ch.q.At(ch.now(), ch.drainFn)
-		}
+		ch.lane.AtEvent(ch.now(), ch.drainEv)
 	}
 }
 
@@ -445,12 +412,9 @@ func (ch *Channel) pick() int32 {
 	return old
 }
 
-// DrainStep runs one drain step. It is the typed-mode entry point: the
-// KindDram handler on the channel's lane routes the drain event here.
-func (ch *Channel) DrainStep() { ch.drain() }
-
-// drain serves one request and reschedules itself while work remains.
-func (ch *Channel) drain() {
+// DrainStep serves one request and reschedules itself while work remains.
+// The lane's handler for the channel's drain event routes it here.
+func (ch *Channel) DrainStep() {
 	idx := ch.pick()
 	if idx == nilIdx {
 		ch.draining = false
@@ -511,11 +475,8 @@ func (ch *Channel) drain() {
 	// arena slot when its head passes the request.
 	ch.unlink(idx)
 
-	if r.done != nil {
-		done := r.done
-		ch.q.At(busEnd, func() { done(busEnd) })
-	} else if r.doneEv.Kind != events.KindNone {
-		ch.qe.AtEvent(busEnd, r.doneEv)
+	if r.doneEv.Kind != events.KindNone {
+		ch.lane.AtEvent(busEnd, r.doneEv)
 	}
 	// Pace the command stream a bounded lookahead ahead of the data bus:
 	// the next command may issue tCCD after this one, but no earlier than
@@ -526,11 +487,7 @@ func (ch *Channel) drain() {
 	if t := busEnd - prepNs; t > next {
 		next = t
 	}
-	if ch.qe != nil {
-		ch.qe.AtEvent(next, ch.drainEv)
-	} else {
-		ch.q.At(next, ch.drainFn)
-	}
+	ch.lane.AtEvent(next, ch.drainEv)
 }
 
 // Stats returns the channel's counters.

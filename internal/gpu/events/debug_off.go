@@ -3,9 +3,8 @@
 package events
 
 // poisonRec is what release writes into a vacated pool slot: the zero
-// record, which drops the closure reference so the pool never retains a
-// dispatched closure. Under the eventsdebug build tag this becomes a poison
-// pattern and the check hooks below verify it (see debug_on.go).
+// record. Under the eventsdebug build tag it becomes a poison pattern and
+// the check hooks below verify it (see debug_on.go).
 var poisonRec = rec{}
 
 func checkAcquire(r *rec)  {}

@@ -10,7 +10,7 @@ import "fmt"
 // dispatch verifies the record is not poisoned — a hit means a released
 // record reached the heap (double-release or index corruption). The checks
 // cost a few comparisons per event, so they live behind a build tag; CI runs
-// the events and sim tests with -tags eventsdebug -race.
+// the events, dram, mc and sim tests with -tags eventsdebug -race.
 const (
 	poisonKind uint8  = 0xEE
 	poisonWord uint64 = 0xDEADBEEFDEADBEEF
@@ -26,7 +26,7 @@ var poisonRec = rec{ev: Event{
 }}
 
 func checkAcquire(r *rec) {
-	if r.fn != nil || r.ev != poisonRec.ev {
+	if r.ev != poisonRec.ev {
 		panic(fmt.Sprintf("events: pooled record written after release: %+v", r.ev))
 	}
 }

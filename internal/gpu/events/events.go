@@ -1,16 +1,13 @@
 // Package events is the deterministic discrete-event machinery shared by the
 // timing simulator and the memory system.
 //
-// Two engines live here. Queue is the original single-threaded time-ordered
-// queue with insertion-order tie-breaking, still used by components running
-// standalone (the dram unit tests). Engine is the sharded engine: a set of
-// Lanes, each a self-contained event queue that owns one component's state
-// (one DRAM channel, or the SM/L2 front-end), exchanging timestamped
-// cross-lane messages. Events are ordered by a (time, source lane, source
-// sequence) key that is independent of how execution is scheduled, so the
-// serial path (one worker draining all lanes in global key order) and the
-// parallel path (conservative time windows bounded by the minimum cross-lane
-// latency) replay identically, event for event.
+// Engine is a set of Lanes, each a self-contained event queue that owns one
+// component's state (one DRAM channel, or the SM/L2 front-end), exchanging
+// timestamped cross-lane messages. Events are ordered by a (time, source
+// lane, source sequence) key that is independent of how execution is
+// scheduled, so the serial path (one worker draining all lanes in global key
+// order) and the parallel path (conservative time windows bounded by the
+// minimum cross-lane latency) replay identically, event for event.
 //
 // In a parallel window the calling goroutine runs the coordinator lane (lane
 // 0, the heaviest: about half of a simulator replay's events) first, while
@@ -20,23 +17,14 @@
 // after the window's barrier, so a broken model invariant surfaces as the
 // caller's panic rather than killing the process from a helper.
 //
-// Scheduling has two forms sharing one pool and one ordering key:
-//
-//   - The typed form (AtEvent/SendEvent) carries a small value Event record
-//     dispatched to the Handler registered for its Kind — the steady-state
-//     path, which performs no heap allocation once the per-lane pools have
-//     warmed up.
-//   - The closure form (At/Send) carries a func() — retained as the
-//     reference implementation (the closure-based simulator replays through
-//     it) and for tests.
-//
-// Both forms draw ordering sequence numbers from the same per-lane counter,
-// so a model wired with typed events executes the identical event sequence
-// as its closure twin. Event records live in per-lane pools with freelists;
-// a lane's pool is touched only while that lane runs (single goroutine at a
-// time), so the pools need no locking — the freelist ownership argument is
-// the lane ownership argument. Heaps are hand-written 4-ary heaps over value
-// records: no interface boxing, no per-push allocation.
+// An event is a small value Event record (AtEvent/SendEvent) dispatched to
+// the Handler registered for its Kind on the lane it lands on. Records live
+// in per-lane pools with freelists; a lane's pool is touched only while that
+// lane runs (single goroutine at a time), so the pools need no locking — the
+// freelist ownership argument is the lane ownership argument. Heaps are
+// hand-written 4-ary heaps over value records: no interface boxing, no
+// per-push allocation, so the steady state performs no heap allocation once
+// the per-lane pools have warmed up.
 package events
 
 import (
@@ -46,9 +34,10 @@ import (
 	"sync/atomic"
 )
 
-// Event is one typed scheduled event: a component kind, a component-private
-// opcode, and compact arguments. It is a small value record — scheduling one
-// copies it into a pooled slot, never onto the heap.
+// Event is one scheduled event: a component kind, a component-private
+// opcode, and compact arguments. It is a small value record (26 B of fields,
+// 32 B with padding) — scheduling one copies it into a pooled slot, never
+// onto the heap.
 //
 // Field meaning is owned by the handling component; by convention Addr
 // carries a (global) memory address, Aux a packed completion (see
@@ -62,7 +51,7 @@ type Event struct {
 	Op   uint8
 }
 
-// Component kinds. A lane dispatches a typed event to the Handler registered
+// Component kinds. A lane dispatches an event to the Handler registered
 // for the event's Kind, so independent components (the simulator front-end,
 // the memory-controller, a DRAM channel) can share a lane without seeing
 // each other's events.
@@ -81,8 +70,8 @@ const (
 	numKinds
 )
 
-// Handler consumes typed events of one Kind on one scheduler. now is the
-// event's dispatch time (the scheduler's Now).
+// Handler consumes events of one Kind on one lane. now is the event's
+// dispatch time (the lane's Now).
 type Handler interface {
 	HandleEvent(now float64, ev Event)
 }
@@ -100,38 +89,15 @@ func UnpackCompletion(aux uint64) Event {
 	return Event{Kind: uint8(aux >> 40), Op: uint8(aux >> 32), A: uint32(aux)}
 }
 
-// Scheduler is the face a lane (or the legacy Queue) presents to the
-// components running on it: local time and local scheduling.
-type Scheduler interface {
-	// Now returns the current simulation time in nanoseconds.
-	Now() float64
-	// At schedules fn at time t on this scheduler; times before Now are
-	// clamped to Now.
-	At(t float64, fn func())
-}
-
-// EventScheduler is a Scheduler that also accepts typed events. Both *Queue
-// and *Lane implement it.
-type EventScheduler interface {
-	Scheduler
-	// AtEvent schedules a typed event at time t (clamped to Now), to be
-	// dispatched to the Handler registered for ev.Kind.
-	AtEvent(t float64, ev Event)
-	// SetHandler registers the Handler receiving events of the given kind.
-	SetHandler(kind uint8, h Handler)
-}
-
-// rec is one pooled event record: either a typed event or a closure. Exactly
-// one of ev/fn is meaningful (fn wins when non-nil).
+// rec is one pooled event record.
 //
 //slclint:pooled
 type rec struct {
 	ev Event
-	fn func()
 }
 
 // heapEnt is a heap entry: the ordering key plus the index of the record in
-// the owning scheduler's pool. Keeping the key inline means heap sifting
+// the owning lane's pool. Keeping the key inline means heap sifting
 // never touches the pool.
 type heapEnt struct {
 	t   float64
@@ -203,8 +169,7 @@ func heapPop(h []heapEnt) (heapEnt, []heapEnt) {
 	return top, h
 }
 
-// pool is the record store shared by Queue and Lane: a slice arena plus a
-// freelist of vacated slots. acquire/release are O(1) and allocation-free
+// pool is a lane's record store: a slice arena plus a freelist of vacated slots. acquire/release are O(1) and allocation-free
 // once the arena has grown to the schedule's peak depth.
 type pool struct {
 	recs []rec
@@ -223,9 +188,9 @@ func (p *pool) acquire() int32 {
 	return int32(len(p.recs) - 1)
 }
 
-// release vacates a slot. The zero-value store also drops the closure
-// reference (or, under the eventsdebug build tag, writes a poison pattern
-// that acquire verifies) — a record must never be observed after release.
+// release vacates a slot. Under the eventsdebug build tag it writes a poison
+// pattern that acquire verifies — a record must never be observed after
+// release.
 //
 //slclint:allocfree
 func (p *pool) release(idx int32) {
@@ -238,103 +203,22 @@ func (p *pool) reset() {
 	p.free = p.free[:0]
 }
 
-// Queue is a discrete-event queue. The zero value is ready to use.
-type Queue struct {
-	h        []heapEnt
-	pool     pool
-	handlers [numKinds]Handler
-	now      float64
-	seq      int64
-	executed int64
-}
-
-// Now returns the current simulation time in nanoseconds.
-func (q *Queue) Now() float64 { return q.now }
-
-// Executed returns the number of events the queue has dispatched.
-func (q *Queue) Executed() int64 { return q.executed }
-
-// SetHandler registers the Handler receiving typed events of the given kind.
-func (q *Queue) SetHandler(kind uint8, h Handler) { q.handlers[kind] = h }
-
-// At schedules fn at time t; times before Now are clamped to Now.
-func (q *Queue) At(t float64, fn func()) {
-	idx := q.pool.acquire()
-	q.pool.recs[idx] = rec{fn: fn}
-	q.push(t, idx)
-}
-
-// AtEvent schedules a typed event at time t (clamped to Now).
-//
-//slclint:allocfree
-func (q *Queue) AtEvent(t float64, ev Event) {
-	idx := q.pool.acquire()
-	q.pool.recs[idx] = rec{ev: ev}
-	q.push(t, idx)
-}
-
-//slclint:allocfree
-func (q *Queue) push(t float64, idx int32) {
-	if t < q.now {
-		t = q.now
-	}
-	q.seq++
-	q.h = heapPush(q.h, heapEnt{t: t, seq: q.seq, idx: idx})
-}
-
-// Run drains the queue, advancing Now event by event.
-//
-//slclint:allocfree
-func (q *Queue) Run() {
-	for len(q.h) > 0 {
-		var ent heapEnt
-		ent, q.h = heapPop(q.h)
-		r := q.pool.recs[ent.idx]
-		q.pool.release(ent.idx)
-		q.now = ent.t
-		q.executed++
-		if r.fn != nil {
-			r.fn()
-			continue
-		}
-		checkDispatch(&r)
-		h := q.handlers[r.ev.Kind]
-		if h == nil {
-			panic(fmt.Sprintf("events: no handler for kind %d (op %d)", r.ev.Kind, r.ev.Op)) //slclint:allow allocfree cold panic on a wiring bug, unreachable in a correct model
-		}
-		h.HandleEvent(ent.t, r.ev)
-	}
-}
-
-// Pending returns the number of scheduled events.
-func (q *Queue) Pending() int { return len(q.h) }
-
-// Reset rewinds the queue to time zero for a fresh run, keeping registered
-// handlers and the heap/pool capacity so a replay allocates nothing.
-func (q *Queue) Reset() {
-	q.h = q.h[:0]
-	q.pool.reset()
-	q.now = 0
-	q.seq = 0
-	q.executed = 0
-}
-
 // outMsg is a cross-lane message buffered during a parallel window: the full
-// ordering key plus the record by value (the record is copied between the
-// lanes' pools at the barrier, never shared).
+// ordering key plus the event by value (it is copied into the target lane's
+// pool at the barrier, never shared).
 type outMsg struct {
 	target *Lane
 	t      float64
 	seq    int64
 	src    int32
-	r      rec
+	ev     Event
 }
 
 // Lane is one event shard of an Engine. A lane owns the state of the
 // component running on it; its events execute strictly in key order on a
 // single goroutine at a time, so lane-local state — including the lane's
 // event pool and freelist — needs no locking. Lanes interact only through
-// Send/SendEvent.
+// SendEvent.
 type Lane struct {
 	id       int32
 	eng      *Engine
@@ -347,39 +231,24 @@ type Lane struct {
 	outbox   []outMsg
 }
 
-// ID returns the lane's index within its engine.
-func (l *Lane) ID() int { return int(l.id) }
-
 // Now returns the lane's local simulation time.
 func (l *Lane) Now() float64 { return l.now }
 
-// SetHandler registers the Handler receiving typed events of the given kind
+// SetHandler registers the Handler receiving events of the given kind
 // dispatched on this lane. Handlers survive Engine.Reset.
 func (l *Lane) SetHandler(kind uint8, h Handler) { l.handlers[kind] = h }
 
-// At schedules fn on this lane; times before Now are clamped to Now. It may
-// be called only from the lane's own events, or between Engine.Run calls.
-func (l *Lane) At(t float64, fn func()) {
-	idx := l.pool.acquire()
-	l.pool.recs[idx] = rec{fn: fn}
-	l.push(t, idx)
-}
-
-// AtEvent schedules a typed event on this lane; times before Now are clamped
-// to Now. Same calling constraints as At.
+// AtEvent schedules an event on this lane; times before Now are clamped to
+// Now. It may be called only from the lane's own events, or between
+// Engine.Run calls.
 //
 //slclint:allocfree
 func (l *Lane) AtEvent(t float64, ev Event) {
-	idx := l.pool.acquire()
-	l.pool.recs[idx] = rec{ev: ev}
-	l.push(t, idx)
-}
-
-//slclint:allocfree
-func (l *Lane) push(t float64, idx int32) {
 	if t < l.now {
 		t = l.now
 	}
+	idx := l.pool.acquire()
+	l.pool.recs[idx] = rec{ev: ev}
 	l.genSeq++
 	l.h = heapPush(l.h, heapEnt{t: t, seq: l.genSeq, src: l.id, idx: idx})
 }
@@ -394,37 +263,13 @@ func (l *Lane) checkSend(to *Lane, t float64) {
 	}
 }
 
-// deliver routes a keyed record to the target lane: buffered in the outbox
-// during a parallel window, pushed straight into the target's pool and heap
-// (safe: only one lane runs at a time) in serial mode.
-//
-//slclint:allocfree
-func (l *Lane) deliver(to *Lane, t float64, r rec) {
-	l.genSeq++
-	if l.eng.parallel {
-		l.outbox = append(l.outbox, outMsg{target: to, t: t, seq: l.genSeq, src: l.id, r: r})
-		return
-	}
-	idx := to.pool.acquire()
-	to.pool.recs[idx] = r
-	to.h = heapPush(to.h, heapEnt{t: t, seq: l.genSeq, src: l.id, idx: idx})
-}
-
-// Send schedules fn on the target lane at time t, from an event executing on
-// this lane. Cross-lane sends must respect the engine's lookahead: t must be
-// at least the sending lane's Now plus the lookahead. Sending to the own
-// lane is a plain At with no latency constraint.
-func (l *Lane) Send(to *Lane, t float64, fn func()) {
-	if to == l {
-		l.At(t, fn)
-		return
-	}
-	l.checkSend(to, t)
-	l.deliver(to, t, rec{fn: fn})
-}
-
-// SendEvent schedules a typed event on the target lane at time t, under the
-// same lookahead constraint as Send.
+// SendEvent schedules an event on the target lane at time t, from an event
+// executing on this lane. Cross-lane sends must respect the engine's
+// lookahead: t must be at least the sending lane's Now plus the lookahead.
+// Sending to the own lane is a plain AtEvent with no latency constraint.
+// During a parallel window the message is buffered in the outbox for
+// delivery at the barrier; in serial mode it goes straight into the
+// target's pool and heap (safe: only one lane runs at a time).
 //
 //slclint:allocfree
 func (l *Lane) SendEvent(to *Lane, t float64, ev Event) {
@@ -433,10 +278,17 @@ func (l *Lane) SendEvent(to *Lane, t float64, ev Event) {
 		return
 	}
 	l.checkSend(to, t)
-	l.deliver(to, t, rec{ev: ev})
+	l.genSeq++
+	if l.eng.parallel {
+		l.outbox = append(l.outbox, outMsg{target: to, t: t, seq: l.genSeq, src: l.id, ev: ev})
+		return
+	}
+	idx := to.pool.acquire()
+	to.pool.recs[idx] = rec{ev: ev}
+	to.h = heapPush(to.h, heapEnt{t: t, seq: l.genSeq, src: l.id, idx: idx})
 }
 
-// head returns the lane's earliest pending event time, or +Inf.
+// headTime returns the lane's earliest pending event time, or +Inf.
 func (l *Lane) headTime() float64 {
 	if len(l.h) == 0 {
 		return math.Inf(1)
@@ -454,10 +306,6 @@ func (l *Lane) step() {
 	l.pool.release(ent.idx)
 	l.now = ent.t
 	l.executed++
-	if r.fn != nil {
-		r.fn()
-		return
-	}
 	checkDispatch(&r)
 	h := l.handlers[r.ev.Kind]
 	if h == nil {
@@ -497,7 +345,7 @@ func (l *Lane) reset() {
 // for n > 1 drains them in conservative time windows: all lanes holding an
 // event inside [T, T+lookahead) execute concurrently, where T is the global
 // minimum pending time; the lookahead (the minimum cross-lane message
-// latency, enforced by Send) guarantees no message generated inside the
+// latency, enforced by SendEvent) guarantees no message generated inside the
 // window can land inside it, so the two modes replay bitwise-identically.
 type Engine struct {
 	lanes     []*Lane
@@ -506,8 +354,8 @@ type Engine struct {
 }
 
 // NewEngine builds an engine with n lanes. lookahead is the minimum latency
-// every cross-lane Send must carry; it must be positive for parallel runs
-// (Run falls back to serial otherwise).
+// every cross-lane SendEvent must carry; it must be positive for parallel
+// runs (Run falls back to serial otherwise).
 func NewEngine(n int, lookahead float64) *Engine {
 	e := &Engine{lanes: make([]*Lane, n), lookahead: lookahead}
 	for i := range e.lanes {
@@ -709,7 +557,7 @@ func (e *Engine) runParallel(workers int) {
 						l.id, m.target.id, m.t, horizon))
 				}
 				idx := m.target.pool.acquire()
-				m.target.pool.recs[idx] = m.r
+				m.target.pool.recs[idx] = rec{ev: m.ev}
 				m.target.h = heapPush(m.target.h, heapEnt{t: m.t, seq: m.seq, src: m.src, idx: idx})
 			}
 			for i := range l.outbox {

@@ -8,8 +8,8 @@
 // The System runs on the sharded event engine: the controller front-end
 // (routing and the MDC probes, which two channels of a controller share)
 // executes on the coordinator lane, while each GDDR5 channel drains on its
-// own lane. The two are decoupled by the memory-path latency PathNs, which
-// is exactly the cross-lane message latency — the lookahead that lets the
+// own lane. The two are decoupled by the memory-path latency, which is
+// exactly the cross-lane message latency — the lookahead that lets the
 // engine run channel lanes concurrently while replaying bitwise-identically
 // to the serial engine. Per-channel statistics accumulate in lane-local
 // shards and are merged only after the engine has drained.
@@ -141,9 +141,9 @@ func (m *mdcCache) lookup(metaLine uint64) bool {
 }
 
 // System is the full memory-controller subsystem on the sharded engine.
-// Read and Write must be called from events on the coordinator lane (or
-// before the engine runs); completion callbacks are delivered back onto the
-// coordinator lane.
+// ReadEvent and WriteEvent must be called from events on the coordinator
+// lane (or before the engine runs); read completions are delivered back onto
+// the coordinator lane.
 type System struct {
 	cfg      Config
 	coord    *events.Lane
@@ -166,6 +166,8 @@ type System struct {
 // e.g. all equal to coord for a single-lane setup). pathNs is the one-way
 // latency between the L2/front-end and the channels, paid by every
 // cross-lane message; it must be at least the owning engine's lookahead.
+// The System registers itself as the handler for KindMC and KindDram on
+// every lane it touches, so those kinds are reserved for it there.
 func New(cfg Config, coord *events.Lane, chanLanes []*events.Lane, pathNs float64) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -190,11 +192,16 @@ func New(cfg Config, coord *events.Lane, chanLanes []*events.Lane, pathNs float6
 		laneStats: make([]Stats, cfg.Channels()),
 		metaBase:  1 << 40,
 	}
+	coord.SetHandler(events.KindMC, s)
 	for i := range s.channels {
-		if chanLanes[i] == nil {
+		lane := chanLanes[i]
+		if lane == nil {
 			return nil, fmt.Errorf("mc: nil lane for channel %d", i)
 		}
-		ch, err := dram.NewChannel(cfg.Dram, chanLanes[i])
+		// Entries may alias; SetHandler is idempotent.
+		lane.SetHandler(events.KindMC, s)
+		lane.SetHandler(events.KindDram, s)
+		ch, err := dram.NewChannel(cfg.Dram, lane, events.Event{Kind: events.KindDram, Op: opDrain, B: uint32(i)})
 		if err != nil {
 			return nil, err
 		}
@@ -206,27 +213,8 @@ func New(cfg Config, coord *events.Lane, chanLanes []*events.Lane, pathNs float6
 	return s, nil
 }
 
-// NewSingle builds the subsystem on a single-lane engine — the standalone
-// configuration unit tests and tools use. The returned engine's Run drains
-// it; there is no cross-lane latency.
-func NewSingle(cfg Config) (*System, *events.Engine, error) {
-	eng := events.NewEngine(1, 0)
-	lanes := make([]*events.Lane, cfg.Channels())
-	for i := range lanes {
-		lanes[i] = eng.Lane(0)
-	}
-	s, err := New(cfg, eng.Lane(0), lanes, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, eng, nil
-}
-
 // Channels returns the number of channels.
 func (s *System) Channels() int { return len(s.channels) }
-
-// PathNs returns the front-end ↔ channel latency.
-func (s *System) PathNs() float64 { return s.pathNs }
 
 // route maps an address to its channel and controller.
 func (s *System) route(addr uint64) (ch, ctrl int) {
@@ -248,83 +236,17 @@ func (s *System) localAddr(addr uint64) uint64 {
 // counting the outcome. It runs on the coordinator lane, where the two
 // channels of a controller can share the cache without synchronisation.
 // It reports whether the line must be fetched from DRAM first.
-func (s *System) probeMDC(addr uint64, ctrl int) (metaLine uint64, fetch bool) {
-	metaLine = addr / (blocksPerMetaLine * compress.BlockSize)
-	if s.mdcs[ctrl].lookup(metaLine) {
+func (s *System) probeMDC(addr uint64, ctrl int) (fetch bool) {
+	if s.mdcs[ctrl].lookup(metaLine(addr)) {
 		s.front.MDCHits++
-		return metaLine, false
+		return false
 	}
 	s.front.MDCMisses++
 	s.front.MetaBursts++
-	return metaLine, true
+	return true
 }
 
-// Read requests a block read; done is invoked on the coordinator lane at
-// the completion time (bus transfer plus decompression and the return
-// memory path). Compressed reads pay the MDC probe and decompression
-// latency; an MDC miss fetches the metadata line from the channel first.
-func (s *System) Read(addr uint64, bursts int, compressed bool, done func()) {
-	s.front.Reads++
-	ch, ctrl := s.route(addr)
-	la := s.localAddr(addr)
-	var metaLine uint64
-	fetch := false
-	decompNs := 0.0
-	if compressed {
-		metaLine, fetch = s.probeMDC(addr, ctrl)
-		decompNs = float64(s.cfg.DecompressCycles) * s.cycleNs
-	}
-	lane := s.lanes[ch]
-	s.coord.Send(lane, s.coord.Now()+s.pathNs, func() {
-		issue := func() {
-			s.channels[ch].Enqueue(la, bursts, func(busEnd float64) {
-				if compressed {
-					s.laneStats[ch].Decompresses++
-				}
-				lane.Send(s.coord, busEnd+decompNs+s.pathNs, done)
-			})
-		}
-		if fetch {
-			s.channels[ch].EnqueueMeta(s.metaBase+metaLine*32, 1, func(float64) { issue() })
-		} else {
-			issue()
-		}
-	})
-}
-
-// Write posts a block writeback; compression latency is paid before the bus
-// transfer. Writes are posted: no completion callback.
-func (s *System) Write(addr uint64, bursts int, compressed bool) {
-	s.front.Writes++
-	ch, ctrl := s.route(addr)
-	la := s.localAddr(addr)
-	lane := s.lanes[ch]
-	now := s.coord.Now()
-	if !compressed {
-		s.coord.Send(lane, now+s.pathNs, func() {
-			s.channels[ch].Enqueue(la, bursts, nil)
-		})
-		return
-	}
-	s.front.Compresses++
-	lat := float64(s.cfg.CompressCycles) * s.cycleNs
-	metaLine, fetch := s.probeMDC(addr, ctrl)
-	if !fetch {
-		s.coord.Send(lane, now+s.pathNs+lat, func() {
-			s.channels[ch].Enqueue(la, bursts, nil)
-		})
-		return
-	}
-	s.coord.Send(lane, now+s.pathNs, func() {
-		s.channels[ch].EnqueueMeta(s.metaBase+metaLine*32, 1, func(tm float64) {
-			lane.At(tm+lat, func() {
-				s.channels[ch].Enqueue(la, bursts, nil)
-			})
-		})
-	})
-}
-
-// Typed-event opcodes (events.KindMC unless noted). The System is the one
+// Event opcodes (events.KindMC unless noted). The System is the one
 // handler for KindMC and KindDram on every lane it touches, so opcodes
 // alone select the action; ev.B always carries the channel index. Events on
 // a channel lane carry the global address — localAddr and the metadata-line
@@ -360,23 +282,6 @@ const (
 	burstsMask     uint32 = 0xff
 )
 
-// EnableEvents registers the System as the typed-event handler for KindMC
-// and KindDram on the coordinator and every channel lane, and switches the
-// DRAM channels to typed drain scheduling. After this, ReadEvent/WriteEvent
-// run the whole memory path without allocating; the closure Read/Write stay
-// usable (the reference simulator replays through them on a System without
-// EnableEvents).
-func (s *System) EnableEvents() {
-	s.coord.SetHandler(events.KindMC, s)
-	for _, l := range s.lanes { // entries may alias; SetHandler is idempotent
-		l.SetHandler(events.KindMC, s)
-		l.SetHandler(events.KindDram, s)
-	}
-	for i, ch := range s.channels {
-		ch.EnableEvents(s.lanes[i], events.Event{Kind: events.KindDram, Op: opDrain, B: uint32(i)})
-	}
-}
-
 // Reset returns the System to its initial state — counters, MDC contents
 // and channel queues — keeping every allocation, so a replay of the same
 // access stream is allocation-free.
@@ -393,18 +298,18 @@ func (s *System) Reset() {
 	}
 }
 
-// ReadEvent is the typed twin of Read: doneEv (Kind/Op/A only, see
+// ReadEvent requests a block read: doneEv (Kind/Op/A only, see
 // events.PackCompletion) is dispatched on the coordinator lane at the
-// completion time. It schedules the identical event sequence as Read, so a
-// typed simulator and its closure twin replay bitwise-identically.
+// completion time — bus transfer plus decompression and the return memory
+// path. Compressed reads pay the MDC probe and decompression latency; an
+// MDC miss fetches the metadata line from the channel first.
 func (s *System) ReadEvent(addr uint64, bursts int, compressed bool, doneEv events.Event) {
 	s.front.Reads++
 	ch, ctrl := s.route(addr)
 	a := uint32(bursts) & burstsMask
 	if compressed {
-		_, fetch := s.probeMDC(addr, ctrl)
 		a |= flagCompressed
-		if fetch {
+		if s.probeMDC(addr, ctrl) {
 			a |= flagFetch
 		}
 	}
@@ -418,7 +323,8 @@ func (s *System) ReadEvent(addr uint64, bursts int, compressed bool, doneEv even
 	})
 }
 
-// WriteEvent is the typed twin of Write (posted, no completion).
+// WriteEvent posts a block writeback (no completion); compression latency
+// is paid before the bus transfer.
 func (s *System) WriteEvent(addr uint64, bursts int, compressed bool) {
 	s.front.Writes++
 	ch, ctrl := s.route(addr)
@@ -436,8 +342,7 @@ func (s *System) WriteEvent(addr uint64, bursts int, compressed bool) {
 	}
 	s.front.Compresses++
 	lat := float64(s.cfg.CompressCycles) * s.cycleNs
-	_, fetch := s.probeMDC(addr, ctrl)
-	if !fetch {
+	if !s.probeMDC(addr, ctrl) {
 		s.coord.SendEvent(s.lanes[ch], now+s.pathNs+lat, ev)
 		return
 	}
@@ -445,16 +350,14 @@ func (s *System) WriteEvent(addr uint64, bursts int, compressed bool) {
 	s.coord.SendEvent(s.lanes[ch], now+s.pathNs, ev)
 }
 
-// metaAddr returns the DRAM address of an address's metadata line.
-func (s *System) metaAddr(addr uint64) uint64 {
-	metaLine := addr / (blocksPerMetaLine * compress.BlockSize)
-	return s.metaBase + metaLine*32
-}
+// metaLine returns the number of the metadata line covering addr.
+func metaLine(addr uint64) uint64 { return addr / (blocksPerMetaLine * compress.BlockSize) }
 
-// HandleEvent dispatches the System's typed events. Each arm schedules
-// exactly what the corresponding closure in Read/Write schedules, in the
-// same order — the sequence-number parity that keeps typed and closure
-// replays identical.
+// metaAddr returns the DRAM address of an address's metadata line.
+func (s *System) metaAddr(addr uint64) uint64 { return s.metaBase + metaLine(addr)*32 }
+
+// HandleEvent dispatches the System's events on the coordinator and
+// channel lanes.
 func (s *System) HandleEvent(now float64, ev events.Event) {
 	ch := int(ev.B)
 	switch ev.Op {
@@ -526,9 +429,4 @@ func (s *System) DramStats() dram.Stats {
 		agg.BusBusyNs += st.BusBusyNs
 	}
 	return agg
-}
-
-// PeakBandwidthGBs returns the aggregate peak bandwidth.
-func (s *System) PeakBandwidthGBs(magBytes int) float64 {
-	return float64(len(s.channels)) * s.cfg.Dram.PeakBandwidthGBs(magBytes)
 }

@@ -1,38 +1,77 @@
 package mc
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
+	"repro/internal/gpu/dram"
 	"repro/internal/gpu/events"
 )
 
-func newSys(t *testing.T) (*System, *events.Engine) {
+// newSingle builds the subsystem on a single-lane engine, whose Run drains
+// it; there is no cross-lane latency.
+func newSingle(cfg Config) (*System, *events.Engine, error) {
+	eng := events.NewEngine(1, 0)
+	lanes := make([]*events.Lane, cfg.Channels())
+	for i := range lanes {
+		lanes[i] = eng.Lane(0)
+	}
+	s, err := New(cfg, eng.Lane(0), lanes, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, eng, nil
+}
+
+// testSys is a single-lane System whose read completions land in log.
+type testSys struct {
+	*System
+	eng *events.Engine
+	log *completionLog
+}
+
+func newSys(t *testing.T) testSys {
 	t.Helper()
-	s, eng, err := NewSingle(DefaultConfig())
+	s, eng, err := newSingle(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, eng
+	return withLog(s, eng)
 }
 
+// withLog registers a completionLog for KindTest on s's coordinator lane.
+func withLog(s *System, eng *events.Engine) testSys {
+	log := &completionLog{}
+	s.coord.SetHandler(events.KindTest, log)
+	return testSys{s, eng, log}
+}
+
+// read requests a block read whose completion is logged with argument tag.
+func (s testSys) read(addr uint64, bursts int, compressed bool, tag uint32) {
+	s.ReadEvent(addr, bursts, compressed, events.Event{Kind: events.KindTest, Op: 7, A: tag})
+}
+
+// last returns the time of the latest logged completion.
+func (s testSys) last() float64 { return s.log.times[len(s.log.times)-1] }
+
 // readAt runs a single read to completion and returns its completion time.
-func readAt(s *System, eng *events.Engine, addr uint64, bursts int, compressed bool) float64 {
-	var done float64
-	s.Read(addr, bursts, compressed, func() { done = s.coord.Now() })
-	eng.Run(1)
-	return done
+func (s testSys) readAt(addr uint64, bursts int, compressed bool) float64 {
+	s.read(addr, bursts, compressed, 0)
+	s.eng.Run(1)
+	return s.last()
 }
 
 func TestChannelCount(t *testing.T) {
-	s, _ := newSys(t)
+	s := newSys(t)
 	if s.Channels() != 12 {
 		t.Errorf("channels = %d, want 12 (6 MCs × 2)", s.Channels())
 	}
 }
 
 func TestRouteInterleaving(t *testing.T) {
-	s, _ := newSys(t)
+	s := newSys(t)
 	ch0, _ := s.route(0)
 	ch1, _ := s.route(256)
 	ch2, _ := s.route(512)
@@ -47,7 +86,7 @@ func TestRouteInterleaving(t *testing.T) {
 }
 
 func TestLocalAddrRowLocality(t *testing.T) {
-	s, _ := newSys(t)
+	s := newSys(t)
 	// Consecutive chunks on one channel (3072 B apart globally) must be
 	// adjacent in the channel's local space.
 	l0 := s.localAddr(0)
@@ -58,10 +97,8 @@ func TestLocalAddrRowLocality(t *testing.T) {
 }
 
 func TestCompressedReadPaysDecompression(t *testing.T) {
-	sPlain, qPlain := newSys(t)
-	sComp, qComp := newSys(t)
-	tPlain := readAt(sPlain, qPlain, 4096, 4, false)
-	tComp := readAt(sComp, qComp, 4096, 4, true)
+	tPlain := newSys(t).readAt(4096, 4, false)
+	tComp := newSys(t).readAt(4096, 4, true)
 	if tComp <= tPlain {
 		t.Errorf("compressed read (%v) not slower than raw (%v) despite MDC+decompression", tComp, tPlain)
 	}
@@ -69,23 +106,22 @@ func TestCompressedReadPaysDecompression(t *testing.T) {
 
 func TestFewerBurstsFinishSooner(t *testing.T) {
 	// Open-loop streams to one channel: 1-burst traffic drains faster.
-	s1, q1 := newSys(t)
-	s4, q4 := newSys(t)
-	var t1, t4 float64
+	s1 := newSys(t)
+	s4 := newSys(t)
 	for i := 0; i < 200; i++ {
-		s1.Read(0, 1, true, func() { t1 = s1.coord.Now() })
-		s4.Read(0, 4, true, func() { t4 = s4.coord.Now() })
+		s1.read(0, 1, true, uint32(i))
+		s4.read(0, 4, true, uint32(i))
 	}
-	q1.Run(1)
-	q4.Run(1)
-	if t1 >= t4 {
+	s1.eng.Run(1)
+	s4.eng.Run(1)
+	if t1, t4 := s1.last(), s4.last(); t1 >= t4 {
 		t.Errorf("1-burst stream (%v) not faster than 4-burst stream (%v)", t1, t4)
 	}
 }
 
 func TestMDCMissFetchesMetadata(t *testing.T) {
-	s, q := newSys(t)
-	readAt(s, q, 0, 4, true)
+	s := newSys(t)
+	s.readAt(0, 4, true)
 	st := s.Stats()
 	if st.MDCMisses != 1 || st.MetaBursts != 1 {
 		t.Errorf("first compressed read: stats %+v, want 1 MDC miss + 1 meta burst", st)
@@ -98,7 +134,7 @@ func TestMDCMissFetchesMetadata(t *testing.T) {
 	// A second read in the same 16 KB metadata window AND on the same
 	// controller hits. Channel interleaving is 256 B across 12 channels, so
 	// addr 3072 returns to channel 0.
-	readAt(s, q, 3072, 4, true)
+	s.readAt(3072, 4, true)
 	st = s.Stats()
 	if st.MDCHits != 1 {
 		t.Errorf("second read should hit MDC: %+v", st)
@@ -106,10 +142,10 @@ func TestMDCMissFetchesMetadata(t *testing.T) {
 }
 
 func TestUncompressedSkipsMDC(t *testing.T) {
-	s, q := newSys(t)
-	readAt(s, q, 0, 4, false)
-	s.Write(4096, 4, false)
-	q.Run(1)
+	s := newSys(t)
+	s.readAt(0, 4, false)
+	s.WriteEvent(4096, 4, false)
+	s.eng.Run(1)
 	st := s.Stats()
 	if st.MDCHits+st.MDCMisses != 0 {
 		t.Errorf("raw accesses probed the MDC: %+v", st)
@@ -120,23 +156,23 @@ func TestUncompressedSkipsMDC(t *testing.T) {
 }
 
 func TestWriteCountsCompression(t *testing.T) {
-	s, q := newSys(t)
-	s.Write(0, 2, true)
-	q.Run(1)
+	s := newSys(t)
+	s.WriteEvent(0, 2, true)
+	s.eng.Run(1)
 	if st := s.Stats(); st.Compresses != 1 {
 		t.Errorf("compressed write not counted: %+v", st)
 	}
 }
 
 func TestDramStatsAggregation(t *testing.T) {
-	s, q := newSys(t)
+	s := newSys(t)
 	totalBursts := 0
 	for i := 0; i < 100; i++ {
 		b := i%4 + 1
 		totalBursts += b
-		s.Read(uint64(i)*256, b, false, func() {})
+		s.read(uint64(i)*256, b, false, uint32(i))
 	}
-	q.Run(1)
+	s.eng.Run(1)
 	ds := s.DramStats()
 	if ds.Bursts != totalBursts {
 		t.Errorf("aggregated bursts %d ≠ issued %d", ds.Bursts, totalBursts)
@@ -149,37 +185,27 @@ func TestDramStatsAggregation(t *testing.T) {
 func TestPathLatencyDelaysCompletion(t *testing.T) {
 	// The same read on a system with a non-zero memory path must complete
 	// exactly 2×path later (one hop out, one hop back).
-	sFast, qFast := newSys(t)
 	const path = 50.0
 	eng := events.NewEngine(2, path)
 	lanes := make([]*events.Lane, DefaultConfig().Channels())
 	for i := range lanes {
 		lanes[i] = eng.Lane(1)
 	}
-	sSlow, err := New(DefaultConfig(), eng.Lane(0), lanes, path)
+	slow, err := New(DefaultConfig(), eng.Lane(0), lanes, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tFast := readAt(sFast, qFast, 4096, 4, false)
-	var tSlow float64
-	sSlow.Read(4096, 4, false, func() { tSlow = sSlow.coord.Now() })
-	eng.Run(1)
+	tFast := newSys(t).readAt(4096, 4, false)
+	tSlow := withLog(slow, eng).readAt(4096, 4, false)
 	if got, want := tSlow-tFast, 2*path; math.Abs(got-want) > 1e-9 {
 		t.Errorf("path latency added %g ns, want %g", got, want)
-	}
-}
-
-func TestPeakBandwidth(t *testing.T) {
-	s, _ := newSys(t)
-	if got := s.PeakBandwidthGBs(32); got < 190 || got > 195 {
-		t.Errorf("peak bandwidth = %.1f GB/s, want ≈192.4", got)
 	}
 }
 
 func TestValidate(t *testing.T) {
 	bad := DefaultConfig()
 	bad.Controllers = 0
-	if _, _, err := NewSingle(bad); err == nil {
+	if _, _, err := newSingle(bad); err == nil {
 		t.Error("invalid config accepted")
 	}
 	eng := events.NewEngine(1, 0)
@@ -208,103 +234,79 @@ func (c *completionLog) HandleEvent(now float64, ev events.Event) {
 	c.times = append(c.times, now)
 }
 
-// TestTypedMatchesClosure drives the same access stream through the typed
-// (ReadEvent/WriteEvent) and closure (Read/Write) paths on two identical
-// systems and requires identical controller and DRAM statistics plus the
-// identical completion stream — times included. This is the equivalence
-// contract the typed simulator rests on.
-func TestTypedMatchesClosure(t *testing.T) {
-	type access struct {
-		addr       uint64
-		bursts     int
-		write      bool
-		compressed bool
+// digest hashes the completion stream — (op, arg, time bits) per
+// completion, in dispatch order — with FNV-1a.
+func (c *completionLog) digest() uint64 {
+	h := fnv.New64a()
+	var buf [13]byte
+	for i := range c.ops {
+		buf[0] = c.ops[i]
+		binary.LittleEndian.PutUint32(buf[1:5], c.args[i])
+		binary.LittleEndian.PutUint64(buf[5:13], math.Float64bits(c.times[i]))
+		h.Write(buf[:])
 	}
-	var accs []access
+	return h.Sum64()
+}
+
+// TestAccessStreamMatchesFixture drives a mixed read/write, raw/compressed
+// access stream through ReadEvent/WriteEvent and requires the controller
+// and DRAM statistics and the completion stream — times included — to match
+// the fixture. The fixture values were produced by the closure-wired memory
+// path this package used to carry beside the event-driven one, with the
+// two asserted identical while generating them.
+func TestAccessStreamMatchesFixture(t *testing.T) {
+	s := newSys(t)
 	for i := 0; i < 400; i++ {
-		accs = append(accs, access{
-			addr:       uint64(i*131) % 50000 * 128,
-			bursts:     i%4 + 1,
-			write:      i%5 == 0,
-			compressed: i%3 != 0,
-		})
-	}
-
-	// Typed run.
-	st, engT := newSys(t)
-	st.EnableEvents()
-	var typed completionLog
-	st.coord.SetHandler(events.KindTest, &typed)
-	for i, a := range accs {
-		if a.write {
-			st.WriteEvent(a.addr, a.bursts, a.compressed)
+		addr := uint64(i*131) % 50000 * 128
+		bursts, compressed := i%4+1, i%3 != 0
+		if i%5 == 0 {
+			s.WriteEvent(addr, bursts, compressed)
 		} else {
-			st.ReadEvent(a.addr, a.bursts, a.compressed,
-				events.Event{Kind: events.KindTest, Op: 7, A: uint32(i)})
+			s.read(addr, bursts, compressed, uint32(i))
 		}
 	}
-	engT.Run(1)
+	s.eng.Run(1)
 
-	// Closure run.
-	sc, engC := newSys(t)
-	var closure completionLog
-	for i, a := range accs {
-		if a.write {
-			sc.Write(a.addr, a.bursts, a.compressed)
-		} else {
-			sc.Read(a.addr, a.bursts, a.compressed, func() {
-				closure.ops = append(closure.ops, 7)
-				closure.args = append(closure.args, uint32(i))
-				closure.times = append(closure.times, sc.coord.Now())
-			})
-		}
+	wantMC := Stats{Reads: 320, Writes: 80, MDCHits: 0, MDCMisses: 266, MetaBursts: 266, Decompresses: 213, Compresses: 53}
+	wantDram := dram.Stats{Requests: 666, Bursts: 1266, MetaBursts: 266, RowHits: 190, RowMisses: 476, Activations: 476, BusBusyNs: 2526.9461077844294}
+	const wantCompletions, wantDigest = 320, 0x4bd54d5e42217694
+	if got := s.Stats(); got != wantMC {
+		t.Errorf("controller stats:\ngot  %+v\nwant %+v", got, wantMC)
 	}
-	engC.Run(1)
-
-	if st.Stats() != sc.Stats() {
-		t.Errorf("controller stats diverge:\ntyped   %+v\nclosure %+v", st.Stats(), sc.Stats())
+	if got := s.DramStats(); got != wantDram {
+		t.Errorf("dram stats:\ngot  %+v\nwant %+v", got, wantDram)
 	}
-	if st.DramStats() != sc.DramStats() {
-		t.Errorf("dram stats diverge:\ntyped   %+v\nclosure %+v", st.DramStats(), sc.DramStats())
+	if n := len(s.log.ops); n != wantCompletions {
+		t.Errorf("%d completions, want %d", n, wantCompletions)
 	}
-	if len(typed.ops) != len(closure.ops) {
-		t.Fatalf("completion counts diverge: typed %d, closure %d", len(typed.ops), len(closure.ops))
-	}
-	for i := range typed.ops {
-		if typed.ops[i] != closure.ops[i] || typed.args[i] != closure.args[i] ||
-			typed.times[i] != closure.times[i] {
-			t.Fatalf("completion %d diverges: typed (op %d, arg %d, t %g), closure (op %d, arg %d, t %g)",
-				i, typed.ops[i], typed.args[i], typed.times[i],
-				closure.ops[i], closure.args[i], closure.times[i])
-		}
+	if d := s.log.digest(); d != wantDigest {
+		t.Errorf("completion stream digest %#x, want %#x (order or times changed)", d, uint64(wantDigest))
 	}
 }
 
 // TestSystemResetReplays drives a stream, resets, replays, and requires
 // identical statistics — the reuse contract behind the alloc-free replay.
 func TestSystemResetReplays(t *testing.T) {
-	s, eng := newSys(t)
-	s.EnableEvents()
+	s := newSys(t)
 	run := func() (Stats, [12]int) {
 		for i := 0; i < 300; i++ {
 			addr := uint64(i*257) % 40000 * 128
 			if i%4 == 0 {
 				s.WriteEvent(addr, i%3+1, i%2 == 0)
 			} else {
-				s.ReadEvent(addr, i%4+1, i%2 == 0, events.Event{Kind: events.KindTest, Op: 1})
+				s.read(addr, i%4+1, i%2 == 0, uint32(i))
 			}
 		}
-		eng.Run(1)
+		s.eng.Run(1)
 		var reqs [12]int
 		for i, ch := range s.channels {
 			reqs[i] = ch.Stats().Requests
 		}
 		return s.Stats(), reqs
 	}
-	s.coord.SetHandler(events.KindTest, &completionLog{})
 	first, firstReqs := run()
 	s.Reset()
-	eng.Reset()
+	s.eng.Reset()
 	second, secondReqs := run()
 	if first != second || firstReqs != secondReqs {
 		t.Fatalf("replay after Reset diverged:\nfirst  %+v %v\nsecond %+v %v",

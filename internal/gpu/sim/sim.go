@@ -20,15 +20,15 @@
 // Workers > 1, RunRecording also overlaps the replay with the workload that
 // records the trace, replaying each kernel as soon as it is finished.
 //
-// Simulator is the typed-event implementation: warp progress is driven by
-// small value Event records (opTryIssue/opIssue/opRespond) dispatched
-// through the lanes' handler tables, and all model state — engine, caches,
-// memory system, warp and SM arrays — is built once in New and reset in
-// place by Replay (or by Start, for a replay streamed kernel by kernel).
-// After a warm-up replay the steady-state loop performs zero heap
-// allocations (pinned by TestSimSteadyStateAllocFree). RunRef in
-// ref.go is the closure-based twin that schedules the identical event
-// sequence; the two must return bitwise-equal Results.
+// Warp progress is driven by small value Event records
+// (opTryIssue/opIssue/opRespond) dispatched through the lanes' handler
+// tables, and all model state — engine, caches, memory system, warp and SM
+// arrays — is built once in New and reset in place by Replay (or by Start,
+// for a replay streamed kernel by kernel). After a warm-up replay the
+// steady-state loop performs zero heap allocations (pinned by
+// TestSimSteadyStateAllocFree). Exact Results and per-replay event counts
+// of fixed traces are pinned by committed fixtures
+// (TestReplayMatchesFixtures).
 package sim
 
 import (
@@ -220,7 +220,6 @@ func New(cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	mem.EnableEvents()
 	s := &Simulator{
 		cfg:       cfg,
 		smCycleNs: smCycleNs,
@@ -401,7 +400,7 @@ func (s *Simulator) Finish() Result {
 	return s.res
 }
 
-// HandleEvent dispatches the front-end's typed events on the coordinator.
+// HandleEvent dispatches the front-end's events on the coordinator.
 func (s *Simulator) HandleEvent(now float64, ev events.Event) {
 	switch ev.Op {
 	case opTryIssue:

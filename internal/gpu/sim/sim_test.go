@@ -3,6 +3,9 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/compress"
+	"repro/internal/gpu/cache"
+	"repro/internal/gpu/mc"
 	"repro/internal/gpu/trace"
 )
 
@@ -386,44 +389,67 @@ func BenchmarkSimSharded2(b *testing.B)  { benchSim(b, 2) }
 func BenchmarkSimSharded4(b *testing.B)  { benchSim(b, 4) }
 func BenchmarkSimSharded12(b *testing.B) { benchSim(b, 12) }
 
-// TestTypedMatchesRef pins the typed Simulator to the closure-based
-// reference engine (ref.go): both schedule the identical event sequence, so
-// every trace must produce a bitwise-equal Result, serial and sharded. The
-// events column pins the per-replay event count, which is deterministic and
-// independent of the worker count: a change to it means the event stream
-// itself changed.
-func TestTypedMatchesRef(t *testing.T) {
-	traces := []struct {
-		name   string
-		tr     *trace.Trace
-		events int64
-	}{
-		{"stream", streamTrace(128, 80, 3, 4), 63148},
-		{"mixed", mixedTrace(), 38450},
+// withMAG sets the MAG the way the evaluation does: bus occupancy per
+// burst scales with the MAG so aggregate peak bandwidth stays fixed.
+func withMAG(m compress.MAG) func(*Config) {
+	return func(c *Config) {
+		c.MAG = m
+		c.MC.Dram.BurstCycles = int(m) / 16
 	}
-	for _, tc := range traces {
+}
+
+// fixtures pins the exact Result and per-replay event count of fixed traces
+// under fixed configurations. The values were produced by the closure-wired
+// reference simulator that the event-driven Simulator replaced, with the two
+// asserted bitwise-equal at 1 and 4 workers while generating them, so they
+// carry the reference's behaviour now that its code is gone. The event
+// count is deterministic and independent of the worker count: a change to
+// it means the event stream itself changed.
+var fixtures = []struct {
+	name   string
+	tr     *trace.Trace
+	cfg    func(*Config) // applied to DefaultConfig; nil keeps it
+	events int64
+	want   Result
+}{
+	{"stream", streamTrace(128, 80, 3, 4), nil, 63148, Result{TimeNs: 8068.017250171296, SMCycles: 6631.910179640805, Accesses: 10240, Instructions: 40960, L1: cache.Stats{Hits: 0, Misses: 10240, Writebacks: 0}, L2: cache.Stats{Hits: 0, Misses: 10240, Writebacks: 0}, MC: mc.Stats{Reads: 10240, Writes: 0, MDCHits: 9760, MDCMisses: 480, MetaBursts: 480, Decompresses: 10240, Compresses: 0}, DramBursts: 31200, DramMetaBursts: 480, DramBytes: 983040, RowHits: 6405, RowMisses: 4315, Activations: 4315, BusBusyNs: 62275.44910179707, Warps: 128}},
+	{"mixed", mixedTrace(), nil, 38450, Result{TimeNs: 4514.0813263983055, SMCycles: 3710.574850299407, Accesses: 8320, Instructions: 24384, L1: cache.Stats{Hits: 197, Misses: 6971, Writebacks: 0}, L2: cache.Stats{Hits: 2683, Misses: 5440, Writebacks: 0}, MC: mc.Stats{Reads: 4401, Writes: 0, MDCHits: 3092, MDCMisses: 270, MetaBursts: 270, Decompresses: 3362, Compresses: 0}, DramBursts: 11151, DramMetaBursts: 270, DramBytes: 348192, RowHits: 3124, RowMisses: 1547, Activations: 1547, BusBusyNs: 22257.48502994019, Warps: 160}},
+	{"mixed/mag16", mixedTrace(), withMAG(compress.MAG16), 38372, Result{TimeNs: 2864.380727595908, SMCycles: 2354.5209580838364, Accesses: 8320, Instructions: 24384, L1: cache.Stats{Hits: 196, Misses: 6972, Writebacks: 0}, L2: cache.Stats{Hits: 2684, Misses: 5440, Writebacks: 0}, MC: mc.Stats{Reads: 4401, Writes: 0, MDCHits: 3092, MDCMisses: 270, MetaBursts: 270, Decompresses: 3362, Compresses: 0}, DramBursts: 11151, DramMetaBursts: 270, DramBytes: 174096, RowHits: 3046, RowMisses: 1625, Activations: 1625, BusBusyNs: 11128.742514970094, Warps: 160}},
+	{"mixed/mag64", mixedTrace(), withMAG(compress.MAG64), 38371, Result{TimeNs: 6819.201014030334, SMCycles: 5605.383233532934, Accesses: 8320, Instructions: 24384, L1: cache.Stats{Hits: 190, Misses: 6978, Writebacks: 0}, L2: cache.Stats{Hits: 2690, Misses: 5440, Writebacks: 0}, MC: mc.Stats{Reads: 4401, Writes: 0, MDCHits: 3092, MDCMisses: 270, MetaBursts: 270, Decompresses: 3362, Compresses: 0}, DramBursts: 11151, DramMetaBursts: 270, DramBytes: 696384, RowHits: 3050, RowMisses: 1621, Activations: 1621, BusBusyNs: 44514.970059880376, Warps: 160}},
+	{"mixed/noL1", mixedTrace(), func(c *Config) { c.L1.SizeBytes = 0 }, 38405, Result{TimeNs: 4333.449888544093, SMCycles: 3562.095808383244, Accesses: 8320, Instructions: 24384, L1: cache.Stats{Hits: 0, Misses: 0, Writebacks: 0}, L2: cache.Stats{Hits: 2880, Misses: 5440, Writebacks: 0}, MC: mc.Stats{Reads: 4401, Writes: 0, MDCHits: 3092, MDCMisses: 270, MetaBursts: 270, Decompresses: 3362, Compresses: 0}, DramBursts: 11151, DramMetaBursts: 270, DramBytes: 348192, RowHits: 3121, RowMisses: 1550, Activations: 1550, BusBusyNs: 22257.48502994019, Warps: 160}},
+}
+
+// fixtureConfig returns DefaultConfig modified by mod (when non-nil) at the
+// given worker count.
+func fixtureConfig(mod func(*Config), workers int) Config {
+	cfg := DefaultConfig()
+	if mod != nil {
+		mod(&cfg)
+	}
+	cfg.Workers = workers
+	return cfg
+}
+
+// TestReplayMatchesFixtures replays every fixture trace, serial and
+// sharded, and requires its Result and event count bitwise.
+func TestReplayMatchesFixtures(t *testing.T) {
+	for _, fx := range fixtures {
 		for _, workers := range []int{1, 4} {
-			cfg := DefaultConfig()
-			cfg.Workers = workers
-			want, err := RunRef(tc.tr, cfg)
+			s, err := New(fixtureConfig(fx.cfg, workers))
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := New(cfg)
+			got, err := s.Replay(fx.tr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.Replay(tc.tr)
-			if err != nil {
-				t.Fatal(err)
+			if got != fx.want {
+				t.Errorf("%s (workers %d): Result diverges from the fixture:\nwant: %+v\ngot:  %+v",
+					fx.name, workers, fx.want, got)
 			}
-			if got != want {
-				t.Errorf("%s (workers %d): typed diverges from reference:\nref:   %+v\ntyped: %+v",
-					tc.name, workers, want, got)
-			}
-			if n := s.Events(); n != tc.events {
+			if n := s.Events(); n != fx.events {
 				t.Errorf("%s (workers %d): %d events per replay, want %d (event stream changed)",
-					tc.name, workers, n, tc.events)
+					fx.name, workers, n, fx.events)
 			}
 		}
 	}
@@ -431,28 +457,14 @@ func TestTypedMatchesRef(t *testing.T) {
 
 // TestStreamedMatchesReplay pins the streamed form (Start, Kernel per
 // kernel, Finish) that overlaps the replay with the workload: fed kernel by
-// kernel, on a simulator dirtied by an earlier replay, it must return
-// Replay's Result bitwise and execute the same events per replay as
-// TestTypedMatchesRef's column, serial and sharded. RunRecording, which
-// streams the kernels to a replay goroutine when Workers > 1, must agree
-// too.
+// kernel, on a simulator dirtied by an earlier replay, it must return the
+// fixture's Result bitwise and execute its events per replay, serial and
+// sharded. RunRecording, which streams the kernels to a replay goroutine
+// when Workers > 1, must agree too.
 func TestStreamedMatchesReplay(t *testing.T) {
-	traces := []struct {
-		name   string
-		tr     *trace.Trace
-		events int64
-	}{
-		{"stream", streamTrace(128, 80, 3, 4), 63148},
-		{"mixed", mixedTrace(), 38450},
-	}
-	for _, tc := range traces {
+	for _, fx := range fixtures {
 		for _, workers := range []int{1, 2, 4} {
-			cfg := DefaultConfig()
-			cfg.Workers = workers
-			want, err := Run(tc.tr, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := fixtureConfig(fx.cfg, workers)
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -461,26 +473,26 @@ func TestStreamedMatchesReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.Start()
-			for i := range tc.tr.Kernels {
-				s.Kernel(&tc.tr.Kernels[i])
+			for k := range fx.tr.Kernels {
+				s.Kernel(&fx.tr.Kernels[k])
 			}
-			if got := s.Finish(); got != want {
-				t.Errorf("%s (workers %d): streamed diverges from Replay:\nreplay:   %+v\nstreamed: %+v",
-					tc.name, workers, want, got)
+			if got := s.Finish(); got != fx.want {
+				t.Errorf("%s (workers %d): streamed diverges from the fixture:\nwant:     %+v\nstreamed: %+v",
+					fx.name, workers, fx.want, got)
 			}
-			if n := s.Events(); n != tc.events {
+			if n := s.Events(); n != fx.events {
 				t.Errorf("%s (workers %d): %d events per streamed replay, want %d",
-					tc.name, workers, n, tc.events)
+					fx.name, workers, n, fx.events)
 			}
 			// Record the trace's kernels as a workload would: each lands in
 			// the recorder's trace and, once finished, in its Sink (set only
 			// when the replay streams).
 			rec := trace.NewRecorder(nil)
 			got, err := RunRecording(rec, cfg, func() error {
-				for i := range tc.tr.Kernels {
-					rec.Trace().Kernels = append(rec.Trace().Kernels, tc.tr.Kernels[i])
+				for k := range fx.tr.Kernels {
+					rec.Trace().Kernels = append(rec.Trace().Kernels, fx.tr.Kernels[k])
 					if rec.Sink != nil {
-						rec.Sink(&tc.tr.Kernels[i])
+						rec.Sink(&fx.tr.Kernels[k])
 					}
 				}
 				return nil
@@ -488,9 +500,9 @@ func TestStreamedMatchesReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Errorf("%s (workers %d): RunRecording diverges from Replay:\nreplay:    %+v\nrecording: %+v",
-					tc.name, workers, want, got)
+			if got != fx.want {
+				t.Errorf("%s (workers %d): RunRecording diverges from the fixture:\nwant:      %+v\nrecording: %+v",
+					fx.name, workers, fx.want, got)
 			}
 		}
 	}
