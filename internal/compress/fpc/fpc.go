@@ -24,6 +24,10 @@ const (
 
 const prefixBits = 3
 
+// payloadWidth is the payload width of each pattern, indexed by prefix (a
+// zero run's 3-bit length is read separately).
+var payloadWidth = [1 << prefixBits]int{pSE4: 4, pSE8: 8, pSE16: 16, pHalfPad: 16, pTwoHalfSE: 16, pRepBytes: 8, pUncomp: 32}
+
 // Codec is the FPC compressor/decompressor. The zero value is ready to use.
 type Codec struct{}
 
@@ -146,8 +150,7 @@ func (c Codec) Decompress(e compress.Encoded, dst []byte) error {
 			}
 			i += n
 		case pSE4, pSE8, pSE16, pHalfPad, pTwoHalfSE, pRepBytes, pUncomp:
-			width := map[uint64]int{pSE4: 4, pSE8: 8, pSE16: 16, pHalfPad: 16, pTwoHalfSE: 16, pRepBytes: 8, pUncomp: 32}[pat]
-			v, err := r.ReadBits(width)
+			v, err := r.ReadBits(payloadWidth[pat])
 			if err != nil {
 				return fmt.Errorf("fpc: payload at word %d: %w", i, err)
 			}

@@ -8,9 +8,12 @@
 //
 // Requests are pooled value records in a channel-local arena, threaded onto
 // per-row and per-bank intrusive lists (int32 indices, not pointers) plus an
-// arrival FIFO. The arena and lists are owned by the channel's event lane,
-// so they need no locking, and once the arena has grown to the backlog's
-// peak the channel enqueues and serves requests without allocating.
+// arrival FIFO. A bank keeps its open row's list apart from its other rows,
+// so the scheduler's row-hit lookups index a slice and search nothing. The
+// arena and lists are owned by the channel's event lane, so they need no
+// locking, and once the arena and the banks' row tables have grown to the
+// backlog's peak the channel enqueues and serves requests without
+// allocating.
 package dram
 
 import (
@@ -90,6 +93,21 @@ type bank struct {
 	row       uint64
 	casFreeNs float64 // earliest next column command (tCCD pipelining)
 	dataEndNs float64 // last data beat of the bank's in-flight transfer
+	// rowq lists the pending requests for the open row; closed holds the
+	// pending list of every other row with requests, one entry per row, in
+	// no particular order. A dense (bank, row) table would not fit, since
+	// metadata rows sit far above the data rows (mc's metaBase), and a Go
+	// map would not stay allocation-free: deleting from one leaves
+	// tombstones that a later insert clears by reallocating. A few rows per
+	// bank are pending at a time, so a linear search is cheap.
+	rowq   list
+	closed []rowList
+}
+
+// rowList is the pending list of one row that is not open.
+type rowList struct {
+	row uint64
+	q   list
 }
 
 // nilIdx terminates intrusive lists.
@@ -136,8 +154,7 @@ type Channel struct {
 	busFree  float64
 	reqs     []request // arena; intrusive lists index into it
 	free     []int32   // vacated arena slots
-	byRow    map[uint64]list
-	byBank   []list // fixed at Config.Banks entries, reused across kernels
+	byBank   []list    // fixed at Config.Banks entries, reused across kernels
 	fifoHead int32
 	fifoTail int32
 	seq      int64
@@ -161,7 +178,6 @@ func NewChannel(cfg Config, lane *events.Lane, drainEv events.Event) (*Channel, 
 		lane:    lane,
 		drainEv: drainEv,
 		banks:   make([]bank, cfg.Banks),
-		byRow:   make(map[uint64]list),
 		byBank:  make([]list, cfg.Banks),
 	}
 	ch.clearLists()
@@ -170,16 +186,15 @@ func NewChannel(cfg Config, lane *events.Lane, drainEv events.Event) (*Channel, 
 
 // Reset empties the channel for a fresh replay: queues, banks, bus and
 // statistics return to their initial state while the arena, freelist, bank
-// list heads and row map keep their capacity, so replaying an identical
-// request stream allocates nothing.
+// list heads and closed-row tables keep their capacity, so replaying an
+// identical request stream allocates nothing.
 func (ch *Channel) Reset() {
 	for i := range ch.banks {
-		ch.banks[i] = bank{}
+		ch.banks[i] = bank{closed: ch.banks[i].closed[:0]}
 	}
 	ch.busFree = 0
 	ch.reqs = ch.reqs[:0]
 	ch.free = ch.free[:0]
-	clear(ch.byRow)
 	ch.clearLists()
 	ch.seq = 0
 	ch.draining = false
@@ -189,6 +204,7 @@ func (ch *Channel) Reset() {
 func (ch *Channel) clearLists() {
 	for i := range ch.byBank {
 		ch.byBank[i] = list{head: nilIdx, tail: nilIdx}
+		ch.banks[i].rowq = list{head: nilIdx, tail: nilIdx}
 	}
 	ch.fifoHead, ch.fifoTail = nilIdx, nilIdx
 }
@@ -242,14 +258,10 @@ func (ch *Channel) EnqueueEvent(addr uint64, bursts int, meta bool, doneEv event
 	}
 	r.row = addr / uint64(ch.cfg.RowBytes) / uint64(ch.cfg.Banks)
 
-	key := ch.rowKey(r.bank, r.row)
-	if l, ok := ch.byRow[key]; ok {
-		ch.reqs[l.tail].nextRow = idx
-		r.prevRow = l.tail
-		l.tail = idx
-		ch.byRow[key] = l
+	if b := &ch.banks[r.bank]; b.open && b.row == r.row {
+		ch.appendRow(&b.rowq, idx)
 	} else {
-		ch.byRow[key] = list{head: idx, tail: idx}
+		ch.appendRow(b.closedList(r.row), idx)
 	}
 	bl := &ch.byBank[r.bank]
 	if bl.head == nilIdx {
@@ -272,18 +284,58 @@ func (ch *Channel) EnqueueEvent(addr uint64, bursts int, meta bool, doneEv event
 	}
 }
 
-func (ch *Channel) rowKey(bank int32, row uint64) uint64 {
-	return row*uint64(ch.cfg.Banks) + uint64(bank)
+// appendRow threads request idx onto the tail of row list l.
+func (ch *Channel) appendRow(l *list, idx int32) {
+	if l.head == nilIdx {
+		l.head, l.tail = idx, idx
+		return
+	}
+	ch.reqs[l.tail].nextRow = idx
+	ch.reqs[idx].prevRow = l.tail
+	l.tail = idx
 }
 
-// unlink removes a served request from its row and bank lists. Every pick
-// returns the head unserved entry of both lists, but a row hit can serve a
-// request from the middle of its bank list (an older request for another
-// row is still ahead of it), which is why the lists are doubly linked.
+// closedList returns the pending list of a row that is not open, adding an
+// empty one if the row has none.
+func (b *bank) closedList(row uint64) *list {
+	for i := range b.closed {
+		if b.closed[i].row == row {
+			return &b.closed[i].q
+		}
+	}
+	b.closed = append(b.closed, rowList{row: row, q: list{head: nilIdx, tail: nilIdx}})
+	return &b.closed[len(b.closed)-1].q
+}
+
+// activate opens row on the bank: the old open row's pending list, if any,
+// joins the closed rows, and the new row's list leaves them for rowq.
+func (b *bank) activate(row uint64) {
+	if b.rowq.head != nilIdx {
+		b.closed = append(b.closed, rowList{row: b.row, q: b.rowq})
+	}
+	b.rowq = list{head: nilIdx, tail: nilIdx}
+	for i := range b.closed {
+		if b.closed[i].row == row {
+			b.rowq = b.closed[i].q
+			last := len(b.closed) - 1
+			b.closed[i] = b.closed[last]
+			b.closed = b.closed[:last]
+			break
+		}
+	}
+	b.open = true
+	b.row = row
+}
+
+// unlink removes a served request from its row and bank lists. A served
+// request's row is always its bank's open row, so its row list is the bank's
+// rowq. Every pick returns the head unserved entry of both lists, but a row
+// hit can serve a request from the middle of its bank list (an older request
+// for another row is still ahead of it), which is why the lists are doubly
+// linked.
 func (ch *Channel) unlink(idx int32) {
 	r := &ch.reqs[idx]
-	key := ch.rowKey(r.bank, r.row)
-	l := ch.byRow[key]
+	l := &ch.banks[r.bank].rowq
 	if r.prevRow != nilIdx {
 		ch.reqs[r.prevRow].nextRow = r.nextRow
 	} else {
@@ -293,11 +345,6 @@ func (ch *Channel) unlink(idx int32) {
 		ch.reqs[r.nextRow].prevRow = r.prevRow
 	} else {
 		l.tail = r.prevRow
-	}
-	if l.head == nilIdx {
-		delete(ch.byRow, key)
-	} else {
-		ch.byRow[key] = l
 	}
 	bl := &ch.byBank[r.bank]
 	if r.prevBank != nilIdx {
@@ -330,16 +377,14 @@ func (ch *Channel) oldest() int32 {
 
 // peekRow returns the oldest pending request for a bank's open row, or
 // nilIdx. Served requests are unlinked eagerly, so list heads are pending.
+//
+//slclint:allocfree
 func (ch *Channel) peekRow(bankIdx int) int32 {
 	b := &ch.banks[bankIdx]
 	if !b.open {
 		return nilIdx
 	}
-	l, ok := ch.byRow[ch.rowKey(int32(bankIdx), b.row)]
-	if !ok {
-		return nilIdx
-	}
-	return l.head
+	return b.rowq.head
 }
 
 // peekBank returns the oldest pending request for a bank, or nilIdx.
@@ -444,6 +489,7 @@ func (ch *Channel) DrainStep() {
 		cas = actStart + float64(pre+ch.cfg.TRCD)*ch.cycleNs
 		ch.stats.RowMisses++
 		ch.stats.Activations++
+		b.activate(r.row)
 	}
 	dataReady := cas + float64(ch.cfg.TCAS)*ch.cycleNs
 	busStart := dataReady
@@ -460,8 +506,6 @@ func (ch *Channel) DrainStep() {
 	}
 	b.casFreeNs = effCas + float64(ch.cfg.TCCD)*ch.cycleNs
 	b.dataEndNs = busEnd
-	b.open = true
-	b.row = r.row
 
 	ch.stats.Requests++
 	ch.stats.Bursts += int(r.bursts)

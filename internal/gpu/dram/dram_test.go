@@ -302,12 +302,19 @@ func TestQueuesReleaseServedRequests(t *testing.T) {
 	if served := len(h.tags); served != 8*4096 {
 		t.Fatalf("served %d of %d", served, 8*4096)
 	}
-	if len(ch.byRow) != 0 {
-		t.Errorf("byRow retains %d row keys after full drain", len(ch.byRow))
+	for b := range ch.banks {
+		if n := len(ch.banks[b].closed); n != 0 {
+			t.Errorf("bank %d retains %d closed-row lists after full drain", b, n)
+		}
 	}
 	for b, lst := range ch.byBank {
 		if lst.head != nilIdx || lst.tail != nilIdx {
 			t.Errorf("byBank[%d] retains entries (head %d tail %d)", b, lst.head, lst.tail)
+		}
+	}
+	for b := range ch.banks {
+		if q := ch.banks[b].rowq; q.head != nilIdx || q.tail != nilIdx {
+			t.Errorf("bank %d open-row list retains entries (head %d tail %d)", b, q.head, q.tail)
 		}
 	}
 	if ch.fifoHead != nilIdx || ch.fifoTail != nilIdx {

@@ -99,21 +99,37 @@ type rec struct {
 // heapEnt is a heap entry: the ordering key plus the index of the record in
 // the owning lane's pool. Keeping the key inline means heap sifting
 // never touches the pool.
+//
+// The (time, source lane, source sequence) key is packed into two words that
+// compare as unsigned integers: tk holds the bits of the event time, which
+// order like the time itself because event times are never negative (+0
+// folds −0 into +0 first), and tie holds src<<seqBits | seq. Lane ids stay
+// below 1<<srcBits and sequence numbers below 1<<seqBits (both enforced,
+// see NewEngine and Lane.nextSeq), so the packing is exact and entLess is
+// the three-field (t, src, seq) order.
 type heapEnt struct {
-	t   float64
-	seq int64
-	src int32
+	tk  uint64
+	tie uint64
 	idx int32
 }
 
+// Key packing widths: srcBits + seqBits = 63.
+const (
+	seqBits = 40
+	srcBits = 23
+)
+
+// packKey builds the packed (tk, tie) key of an event.
+func packKey(t float64, src int32, seq int64) (tk, tie uint64) {
+	return math.Float64bits(t + 0), uint64(src)<<seqBits | uint64(seq)
+}
+
+// entTime returns the event time a packed key encodes.
+func entTime(e heapEnt) float64 { return math.Float64frombits(e.tk) }
+
+//slclint:allocfree
 func entLess(a, b heapEnt) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
+	return a.tk < b.tk || (a.tk == b.tk && a.tie < b.tie)
 }
 
 // heapPush / heapPop maintain a 4-ary min-heap over value entries. The wider
@@ -204,13 +220,12 @@ func (p *pool) reset() {
 }
 
 // outMsg is a cross-lane message buffered during a parallel window: the full
-// ordering key plus the event by value (it is copied into the target lane's
-// pool at the barrier, never shared).
+// packed ordering key plus the event by value (it is copied into the target
+// lane's pool at the barrier, never shared).
 type outMsg struct {
 	target *Lane
-	t      float64
-	seq    int64
-	src    int32
+	tk     uint64
+	tie    uint64
 	ev     Event
 }
 
@@ -249,8 +264,27 @@ func (l *Lane) AtEvent(t float64, ev Event) {
 	}
 	idx := l.pool.acquire()
 	l.pool.recs[idx] = rec{ev: ev}
+	tk, tie := packKey(t, l.id, l.nextSeq())
+	l.h = heapPush(l.h, heapEnt{tk: tk, tie: tie, idx: idx})
+}
+
+// nextSeq advances and returns the lane's sequence number, which must fit
+// the packed key's seqBits.
+//
+//slclint:allocfree
+func (l *Lane) nextSeq() int64 {
 	l.genSeq++
-	l.h = heapPush(l.h, heapEnt{t: t, seq: l.genSeq, src: l.id, idx: idx})
+	if l.genSeq >= 1<<seqBits {
+		l.seqOverflow()
+	}
+	return l.genSeq
+}
+
+// seqOverflow is nextSeq's cold panic: wrapping the sequence would silently
+// reorder same-time events.
+func (l *Lane) seqOverflow() {
+	panic(fmt.Sprintf("events: lane %d scheduled %d events since the last Reset, beyond the key's %d-bit sequence",
+		l.id, l.genSeq, seqBits))
 }
 
 // checkSend validates a cross-lane send time against the engine's lookahead,
@@ -278,14 +312,14 @@ func (l *Lane) SendEvent(to *Lane, t float64, ev Event) {
 		return
 	}
 	l.checkSend(to, t)
-	l.genSeq++
+	tk, tie := packKey(t, l.id, l.nextSeq())
 	if l.eng.parallel {
-		l.outbox = append(l.outbox, outMsg{target: to, t: t, seq: l.genSeq, src: l.id, ev: ev})
+		l.outbox = append(l.outbox, outMsg{target: to, tk: tk, tie: tie, ev: ev})
 		return
 	}
 	idx := to.pool.acquire()
 	to.pool.recs[idx] = rec{ev: ev}
-	to.h = heapPush(to.h, heapEnt{t: t, seq: l.genSeq, src: l.id, idx: idx})
+	to.h = heapPush(to.h, heapEnt{tk: tk, tie: tie, idx: idx})
 }
 
 // headTime returns the lane's earliest pending event time, or +Inf.
@@ -293,7 +327,7 @@ func (l *Lane) headTime() float64 {
 	if len(l.h) == 0 {
 		return math.Inf(1)
 	}
-	return l.h[0].t
+	return entTime(l.h[0])
 }
 
 // step pops and dispatches the lane's earliest event.
@@ -304,14 +338,14 @@ func (l *Lane) step() {
 	ent, l.h = heapPop(l.h)
 	r := l.pool.recs[ent.idx]
 	l.pool.release(ent.idx)
-	l.now = ent.t
+	l.now = entTime(ent)
 	l.executed++
 	checkDispatch(&r)
 	h := l.handlers[r.ev.Kind]
 	if h == nil {
 		panic(fmt.Sprintf("events: lane %d: no handler for kind %d (op %d)", l.id, r.ev.Kind, r.ev.Op)) //slclint:allow allocfree cold panic on a wiring bug, unreachable in a correct model
 	}
-	h.HandleEvent(ent.t, r.ev)
+	h.HandleEvent(l.now, r.ev)
 }
 
 // runWindow executes the lane's events with time strictly below horizon.
@@ -320,7 +354,7 @@ func (l *Lane) step() {
 //
 //slclint:allocfree
 func (l *Lane) runWindow(horizon float64) {
-	for len(l.h) > 0 && l.h[0].t < horizon {
+	for len(l.h) > 0 && entTime(l.h[0]) < horizon {
 		l.step()
 	}
 }
@@ -355,8 +389,12 @@ type Engine struct {
 
 // NewEngine builds an engine with n lanes. lookahead is the minimum latency
 // every cross-lane SendEvent must carry; it must be positive for parallel
-// runs (Run falls back to serial otherwise).
+// runs (Run falls back to serial otherwise). n must fit the packed event
+// key's srcBits.
 func NewEngine(n int, lookahead float64) *Engine {
+	if n > 1<<srcBits {
+		panic(fmt.Sprintf("events: %d lanes, beyond the key's %d-bit lane id", n, srcBits))
+	}
 	e := &Engine{lanes: make([]*Lane, n), lookahead: lookahead}
 	for i := range e.lanes {
 		e.lanes[i] = &Lane{id: int32(i), eng: e}
@@ -552,13 +590,13 @@ func (e *Engine) runParallel(workers int) {
 		// copying a record into the target lane's pool is race-free.
 		for _, l := range e.lanes {
 			for _, m := range l.outbox {
-				if m.t < horizon {
+				if t := math.Float64frombits(m.tk); t < horizon {
 					panic(fmt.Sprintf("events: message from lane %d to lane %d at %g lands inside window ending %g",
-						l.id, m.target.id, m.t, horizon))
+						l.id, m.target.id, t, horizon))
 				}
 				idx := m.target.pool.acquire()
 				m.target.pool.recs[idx] = rec{ev: m.ev}
-				m.target.h = heapPush(m.target.h, heapEnt{t: m.t, seq: m.seq, src: m.src, idx: idx})
+				m.target.h = heapPush(m.target.h, heapEnt{tk: m.tk, tie: m.tie, idx: idx})
 			}
 			for i := range l.outbox {
 				l.outbox[i] = outMsg{}

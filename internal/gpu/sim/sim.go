@@ -125,8 +125,14 @@ type Result struct {
 	Warps          int
 }
 
+// blockXfer is the write-back geometry of one block, recorded by its last
+// store. Simulator.lastWrite holds one per block number (address /
+// BlockSize); a slot counts only while its stamp equals the simulator's
+// per-kernel generation, so any other stamp reads as "not written this
+// kernel".
 type blockXfer struct {
-	bursts     int
+	gen        uint32
+	bursts     uint8
 	compressed bool
 }
 
@@ -174,7 +180,8 @@ type Simulator struct {
 	mem       *mc.System
 	sms       []smState
 	warps     []warpState
-	lastWrite map[uint64]blockXfer
+	lastWrite []blockXfer
+	gen       uint32
 	remaining int
 	endNs     float64
 	res       Result
@@ -228,7 +235,6 @@ func New(cfg Config) (*Simulator, error) {
 		l2:        l2,
 		mem:       mem,
 		sms:       make([]smState, cfg.SMs),
-		lastWrite: make(map[uint64]blockXfer),
 	}
 	coord.SetHandler(events.KindSim, s)
 	if cfg.L1.SizeBytes > 0 {
@@ -369,7 +375,7 @@ func (s *Simulator) Start() {
 		s.sms[i] = smState{pending: s.sms[i].pending[:0]}
 	}
 	s.warps = s.warps[:0]
-	clear(s.lastWrite)
+	s.nextKernel()
 	s.remaining = 0
 	s.endNs = 0
 	s.res = Result{}
@@ -431,7 +437,7 @@ func (s *Simulator) Kernel(k *trace.Kernel) {
 	// N+1's evictions of blocks last written by kernel N fall back to the
 	// uncompressed MaxBursts transfer instead of replaying stale compressed
 	// geometry across the barrier.
-	clear(s.lastWrite)
+	s.nextKernel()
 	s.warps = s.warps[:0]
 	for i, accs := range k.Warps {
 		if len(accs) == 0 {
@@ -468,6 +474,41 @@ func (s *Simulator) Kernel(k *trace.Kernel) {
 	if s.remaining != 0 {
 		panic(fmt.Sprintf("sim: kernel %s drained with %d warps unfinished", k.Name, s.remaining))
 	}
+}
+
+// nextKernel forgets every recorded write-back geometry by advancing the
+// generation that lastWrite slots must carry to count. When the generation
+// wraps, the slots are cleared, so a stamp from 1<<32 kernels ago can never
+// match again.
+func (s *Simulator) nextKernel() {
+	s.gen++
+	if s.gen == 0 {
+		clear(s.lastWrite)
+		s.gen = 1
+	}
+}
+
+// writeback returns the geometry a dirty block's eviction transfers: its
+// last store's in this kernel, else a full uncompressed block.
+//
+//slclint:allocfree
+func (s *Simulator) writeback(addr uint64) (bursts int, compressed bool) {
+	if b := addr / compress.BlockSize; b < uint64(len(s.lastWrite)) {
+		if x := s.lastWrite[b]; x.gen == s.gen {
+			return int(x.bursts), x.compressed
+		}
+	}
+	return s.cfg.MAG.MaxBursts(), false
+}
+
+// recordWrite stores a block's write-back geometry for this kernel. Trace
+// addresses are block-aligned, so the block number identifies the address.
+func (s *Simulator) recordWrite(a trace.Access) {
+	b := a.Addr / compress.BlockSize
+	if b >= uint64(len(s.lastWrite)) {
+		s.lastWrite = append(s.lastWrite, make([]blockXfer, b+1-uint64(len(s.lastWrite)))...)
+	}
+	s.lastWrite[b] = blockXfer{gen: s.gen, bursts: a.Bursts, compressed: a.Compressed}
 }
 
 // tryIssueNext advances a warp: it issues the next access's compute segment
@@ -522,16 +563,13 @@ func (s *Simulator) issueAccess(wi int32, a trace.Access, now float64) {
 	}
 	res := s.l2.Access(a.Addr, a.Write)
 	if res.HasWriteback {
-		wb, ok := s.lastWrite[res.WritebackAddr]
-		if !ok {
-			wb = blockXfer{bursts: s.cfg.MAG.MaxBursts(), compressed: false}
-		}
-		s.mem.WriteEvent(res.WritebackAddr, wb.bursts, wb.compressed)
+		bursts, compressed := s.writeback(res.WritebackAddr)
+		s.mem.WriteEvent(res.WritebackAddr, bursts, compressed)
 	}
 	if a.Write {
 		// Record the block's compressed geometry for its eventual
 		// writeback; stores are posted, the warp does not wait.
-		s.lastWrite[a.Addr] = blockXfer{bursts: int(a.Bursts), compressed: a.Compressed}
+		s.recordWrite(a)
 		s.q.AtEvent(now, tryEv)
 		return
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/compress"
@@ -364,6 +365,54 @@ func TestLastWriteClearedBetweenKernels(t *testing.T) {
 	}
 }
 
+// TestLastWriteGenerationWrap: write-back geometry is stamped with a
+// per-kernel generation, and a wrap of that 32-bit generation must not
+// bring a stale stamp back to life. A kernel writes a block with a 1-burst
+// compressed geometry; the generation is then moved to the end of its
+// range, empty kernels wrap it round to one below the write's stamp, and
+// a last kernel evicts the block under the write's own stamp. Had the wrap
+// not cleared the slots, that eviction would replay the stale 1-burst
+// write-back.
+func TestLastWriteGenerationWrap(t *testing.T) {
+	const blocks = 2 * 6144 // 2× the 768 KB L2 (6144 lines of 128 B)
+	write := trace.Kernel{Name: "write", Warps: [][]trace.Access{{
+		{Addr: 0, Write: true, Bursts: 1, Compressed: true, Compute: 1},
+	}}}
+	evict := trace.Kernel{Name: "evict", Warps: make([][]trace.Access, 64)}
+	for w := 0; w < 64; w++ {
+		for i := w; i < blocks; i += 64 {
+			evict.Warps[w] = append(evict.Warps[w], trace.Access{
+				Addr: uint64(1+i) * 128, Bursts: 4, Compute: 1,
+			})
+		}
+	}
+	s, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	s.Kernel(&write)
+	stamp := s.gen
+	s.gen = math.MaxUint32
+	for i := 0; i == 0 || s.gen+1 != stamp; i++ {
+		if i > 4 {
+			t.Fatalf("generation %d after %d kernels past the wrap, want %d", s.gen, i, stamp-1)
+		}
+		s.Kernel(&trace.Kernel{Name: "wrap"})
+	}
+	s.Kernel(&evict)
+	if s.gen != stamp {
+		t.Fatalf("evict kernel ran at generation %d, want the write's %d", s.gen, stamp)
+	}
+	res := s.Finish()
+	if res.L2.Writebacks != 1 {
+		t.Fatalf("writebacks = %d, want 1 (the stale dirty block)", res.L2.Writebacks)
+	}
+	if got, want := res.DramBursts-res.DramMetaBursts, blocks*4+4; got != want {
+		t.Errorf("data bursts = %d, want %d (stale write geometry survived the generation wrap?)", got, want)
+	}
+}
+
 func benchTrace() *trace.Trace {
 	return streamTrace(1024, 200, 4, 4)
 }
@@ -520,8 +569,7 @@ func TestSimSteadyStateAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm-up replays grow every pool and arena to the trace's high-water
-	// marks; several are needed because Go maps finish an in-progress grow
-	// incrementally across later operations.
+	// marks.
 	want, err := s.Replay(tr)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,11 @@ import (
 	"repro/internal/gpu/device"
 )
 
-// BlockInfo is the stored geometry of one block.
+// BlockInfo is the stored geometry of one block. A Pipeline keeps one per
+// block number (address / BlockSize): device memory is one dense arena, so
+// the table is a slice that Sync grows to the region's end. A synced block
+// always needs at least one burst, so Bursts == 0 marks a block never
+// synced.
 type BlockInfo struct {
 	Bursts     uint8
 	Compressed bool
@@ -75,15 +79,13 @@ type Pipeline struct {
 	// paper §IV-C) is honoured.
 	lossyFactory func(thresholdBits int) (compress.Codec, error)
 	perThreshold map[int]compress.Codec
-	blocks       map[uint64]BlockInfo
+	blocks       []BlockInfo
 	stats        Stats
 	scratch      []byte
 	// workers is the Sync fan-out: how many goroutines compress the blocks
-	// of one region. 1 means serial. addrbuf is the reused address batch and
-	// shards the reused per-worker state, so the Sync steady state performs
-	// no per-call allocation.
+	// of one region. 1 means serial. shards is the reused per-worker state,
+	// so the Sync steady state performs no per-call allocation.
 	workers int
-	addrbuf []uint64
 	shards  []syncShard
 }
 
@@ -98,7 +100,6 @@ func New(dev *device.Device, mag compress.MAG, lossless, lossy compress.Codec) (
 		mag:      mag,
 		lossless: lossless,
 		lossy:    lossy,
-		blocks:   make(map[uint64]BlockInfo),
 		stats:    Stats{AboveMAG: make([]int64, int(mag)+1)},
 		scratch:  make([]byte, compress.BlockSize),
 		workers:  1,
@@ -154,20 +155,30 @@ func (p *Pipeline) Sync(r device.Region) {
 		codec = p.lossyFor(r)
 		exact = false
 	}
+	if end := int((r.End() + compress.BlockSize - 1) / compress.BlockSize); end > len(p.blocks) {
+		p.blocks = append(p.blocks, make([]BlockInfo, end-len(p.blocks))...)
+	}
 	if codec == nil {
 		// Uncompressed baseline: full bursts, nothing stored.
 		for addr := r.Addr; addr < r.End(); addr += compress.BlockSize {
-			p.blocks[addr] = BlockInfo{Bursts: uint8(p.mag.MaxBursts())}
+			p.blocks[addr/compress.BlockSize] = BlockInfo{Bursts: uint8(p.mag.MaxBursts())}
 		}
 		return
 	}
 	if p.workers <= 1 {
-		for addr := r.Addr; addr < r.End(); addr += compress.BlockSize {
-			p.blocks[addr] = p.compressBlock(codec, exact, r, addr, p.scratch, &p.stats)
-		}
+		p.syncRange(codec, exact, r, r.Addr, r.End(), p.scratch, &p.stats)
 		return
 	}
 	p.syncParallel(codec, exact, r)
+}
+
+// syncRange compresses the blocks of r in [lo, hi) into their block-table
+// slots. Serial Sync runs it over the whole region; each parallel worker
+// over its own disjoint span, so the workers write the table in place.
+func (p *Pipeline) syncRange(codec compress.Codec, exact bool, r device.Region, lo, hi uint64, scratch []byte, st *Stats) {
+	for addr := lo; addr < hi; addr += compress.BlockSize {
+		p.blocks[addr/compress.BlockSize] = p.compressBlock(codec, exact, r, addr, scratch, st)
+	}
 }
 
 // compressBlock pushes one block through the codec: it compresses, applies
@@ -217,20 +228,13 @@ func (p *Pipeline) compressBlock(codec compress.Codec, exact bool, r device.Regi
 	return info
 }
 
-// syncEntry is one worker-produced block record, merged after the barrier.
-type syncEntry struct {
-	addr uint64
-	info BlockInfo
-}
-
 // syncShard is the private state of one Sync worker: its own Stats (with its
-// own AboveMAG histogram), block records and scratch buffer, merged
-// deterministically once all workers finish. Shards persist on the Pipeline
-// across Sync calls; reset clears the accumulators while keeping the backing
-// storage, so a warm parallel Sync reuses every worker buffer.
+// own AboveMAG histogram) and scratch buffer, merged deterministically once
+// all workers finish. Shards persist on the Pipeline across Sync calls;
+// reset clears the accumulators while keeping the backing storage, so a warm
+// parallel Sync reuses every worker buffer.
 type syncShard struct {
 	stats   Stats
-	entries []syncEntry
 	scratch []byte
 	panicV  interface{}
 }
@@ -245,7 +249,6 @@ func (sh *syncShard) reset(magBuckets int) {
 		above[i] = 0
 	}
 	sh.stats = Stats{AboveMAG: above}
-	sh.entries = sh.entries[:0]
 	if sh.scratch == nil {
 		sh.scratch = make([]byte, compress.BlockSize)
 	}
@@ -253,21 +256,13 @@ func (sh *syncShard) reset(magBuckets int) {
 }
 
 // syncParallel fans the region's blocks across the worker pool. Each worker
-// owns a contiguous address range, a scratch buffer and a Stats shard; the
+// owns a contiguous address range, a scratch buffer and a Stats shard, and
+// writes its blocks' table slots in place (the ranges are disjoint). The
 // merge after the barrier walks shards in index order, and since every
-// statistic is a sum (and block addresses are distinct), the result is
-// bitwise identical to serial execution.
+// statistic is a sum, the result is bitwise identical to serial execution.
 func (p *Pipeline) syncParallel(codec compress.Codec, exact bool, r device.Region) {
-	addrs := p.addrbuf[:0]
-	for addr := r.Addr; addr < r.End(); addr += compress.BlockSize {
-		addrs = append(addrs, addr)
-	}
-	p.addrbuf = addrs
-
-	workers := p.workers
-	if workers > len(addrs) {
-		workers = len(addrs)
-	}
+	n := r.Blocks()
+	workers := min(p.workers, n)
 	if workers == 0 {
 		return
 	}
@@ -275,27 +270,21 @@ func (p *Pipeline) syncParallel(codec compress.Codec, exact bool, r device.Regio
 		p.shards = make([]syncShard, workers)
 	}
 	shards := p.shards[:workers]
-	chunk := (len(addrs) + workers - 1) / workers
+	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		lo := wi * chunk
-		hi := lo + chunk
-		if hi > len(addrs) {
-			hi = len(addrs)
-		}
+	for wi := range shards {
+		lo := r.Addr + uint64(wi*chunk)*compress.BlockSize
+		hi := min(lo+uint64(chunk)*compress.BlockSize, r.End())
+		shards[wi].reset(int(p.mag) + 1)
 		if lo >= hi {
 			continue
 		}
-		shards[wi].reset(int(p.mag) + 1)
 		wg.Add(1)
-		go func(sh *syncShard, span []uint64) {
+		go func(sh *syncShard) {
 			defer wg.Done()
 			defer func() { sh.panicV = recover() }()
-			for _, addr := range span {
-				info := p.compressBlock(codec, exact, r, addr, sh.scratch, &sh.stats)
-				sh.entries = append(sh.entries, syncEntry{addr, info})
-			}
-		}(&shards[wi], addrs[lo:hi])
+			p.syncRange(codec, exact, r, lo, hi, sh.scratch, &sh.stats)
+		}(&shards[wi])
 	}
 	wg.Wait()
 	for i := range shards {
@@ -303,23 +292,18 @@ func (p *Pipeline) syncParallel(codec compress.Codec, exact bool, r device.Regio
 			panic(v)
 		}
 	}
-	for wi := 0; wi < workers; wi++ {
-		lo := wi * chunk
-		if lo >= len(addrs) {
-			break
-		}
-		p.stats.add(shards[wi].stats)
-		for _, e := range shards[wi].entries {
-			p.blocks[e.addr] = e.info
-		}
+	for i := range shards {
+		p.stats.add(shards[i].stats)
 	}
 }
 
 // BurstsFor implements the trace recorder's lookup: burst count and
 // compressed flag for a block, defaulting to a raw block when never synced.
+//
+//slclint:allocfree
 func (p *Pipeline) BurstsFor(addr uint64) (int, bool) {
-	if info, ok := p.blocks[addr]; ok {
-		return int(info.Bursts), info.Compressed
+	if b := addr / compress.BlockSize; b < uint64(len(p.blocks)) && p.blocks[b].Bursts != 0 {
+		return int(p.blocks[b].Bursts), p.blocks[b].Compressed
 	}
 	return p.mag.MaxBursts(), false
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/compress/bdi"
 	"repro/internal/compress/e2mc"
 	"repro/internal/gpu/device"
 	"repro/internal/slc"
@@ -64,11 +65,39 @@ func TestUncompressedBaseline(t *testing.T) {
 	}
 }
 
+// TestUnknownBlockDefaultsRaw: a block the pipeline never synced reads as
+// raw, wherever it sits relative to the dense block table — with no table
+// yet, past the table's end, and inside the table below a synced region.
 func TestUnknownBlockDefaultsRaw(t *testing.T) {
 	dev := device.New()
 	p, _ := New(dev, compress.MAG32, nil, nil)
 	if b, comp := p.BurstsFor(0xDEAD00); b != 4 || comp {
 		t.Errorf("unknown block: bursts=%d compressed=%v", b, comp)
+	}
+
+	// BDI stores the zero-filled blocks in one burst, so a synced block is
+	// told apart from the raw default.
+	p, _ = New(dev, compress.MAG32, bdi.Codec{}, nil)
+	unsynced, _ := dev.Malloc("unsynced", 4*compress.BlockSize, false, 0)
+	synced, _ := dev.Malloc("synced", 4*compress.BlockSize, false, 0)
+	p.Sync(synced)
+	synced.BlockAddrs(func(addr uint64) {
+		if b, comp := p.BurstsFor(addr); b != 1 || !comp {
+			t.Errorf("synced zero block %#x: bursts=%d compressed=%v, want 1 compressed", addr, b, comp)
+		}
+	})
+	for _, u := range []struct {
+		name string
+		addr uint64
+	}{
+		{"inside the table, never synced", unsynced.Addr},
+		{"last unsynced block", unsynced.End() - compress.BlockSize},
+		{"first block past the table", synced.End()},
+		{"far past the table", synced.End() + 1<<30},
+	} {
+		if b, comp := p.BurstsFor(u.addr); b != 4 || comp {
+			t.Errorf("%s (%#x): bursts=%d compressed=%v, want 4 raw", u.name, u.addr, b, comp)
+		}
 	}
 }
 
