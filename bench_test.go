@@ -10,7 +10,6 @@
 package repro
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -128,27 +127,6 @@ func BenchmarkSectionVCEffectiveCR(b *testing.B) {
 		b.ReportMetric(f.EffCRGM[compress.MAG64], "eff-CR-64B")
 	}
 }
-
-// benchRunAll executes the Figure-7 sweep on a fresh (cold) runner per
-// iteration, so serial and parallel timings are comparable. Run with
-// -benchtime=1x; compare BenchmarkRunAllSerial to BenchmarkRunAllParallel
-// for the evaluation-engine speedup.
-func benchRunAll(b *testing.B, workers int) {
-	cells := experiments.Fig7Cells()
-	b.ReportMetric(float64(len(cells)), "cells")
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner()
-		if _, err := r.RunAll(cells, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunAllSerial is the Figure-7 sweep on one worker.
-func BenchmarkRunAllSerial(b *testing.B) { benchRunAll(b, 1) }
-
-// BenchmarkRunAllParallel is the same sweep fanned across all cores.
-func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, runtime.GOMAXPROCS(0)) }
 
 // BenchmarkAblationThreshold sweeps the lossy threshold on DCT — the design
 // knob of §III-B (paper default 16 B).

@@ -142,13 +142,17 @@ type list struct {
 
 // Channel is one GDDR5 channel draining an FR-FCFS queue on its event lane.
 // All channel state is local to that lane. The drain self-schedules drainEv
-// on the lane; request completions are the enqueuer's own events, dispatched
-// to whatever handler their Kind has there.
+// on the lane, loose (at most one is pending); request completions are the
+// enqueuer's own events, dispatched to whatever handler their Kind has
+// there. Completions go through an ordered queue of the lane: they are
+// scheduled at the bus-end time, and the bus serialises transfers, so those
+// times only increase.
 type Channel struct {
 	cfg     Config
 	cycleNs float64
 	lane    *events.Lane
 	drainEv events.Event
+	doneQ   events.Queue
 
 	banks    []bank
 	busFree  float64
@@ -177,6 +181,7 @@ func NewChannel(cfg Config, lane *events.Lane, drainEv events.Event) (*Channel, 
 		cycleNs: cfg.CycleNs(),
 		lane:    lane,
 		drainEv: drainEv,
+		doneQ:   lane.NewQueue(),
 		banks:   make([]bank, cfg.Banks),
 		byBank:  make([]list, cfg.Banks),
 	}
@@ -520,7 +525,7 @@ func (ch *Channel) DrainStep() {
 	ch.unlink(idx)
 
 	if r.doneEv.Kind != events.KindNone {
-		ch.lane.AtEvent(busEnd, r.doneEv)
+		ch.lane.AtQueue(ch.doneQ, busEnd, r.doneEv)
 	}
 	// Pace the command stream a bounded lookahead ahead of the data bus:
 	// the next command may issue tCCD after this one, but no earlier than

@@ -17,14 +17,28 @@
 // after the window's barrier, so a broken model invariant surfaces as the
 // caller's panic rather than killing the process from a helper.
 //
-// An event is a small value Event record (AtEvent/SendEvent) dispatched to
-// the Handler registered for its Kind on the lane it lands on. Records live
-// in per-lane pools with freelists; a lane's pool is touched only while that
-// lane runs (single goroutine at a time), so the pools need no locking — the
-// freelist ownership argument is the lane ownership argument. Heaps are
-// hand-written 4-ary heaps over value records: no interface boxing, no
-// per-push allocation, so the steady state performs no heap allocation once
-// the per-lane pools have warmed up.
+// An event is a small value Event record dispatched to the Handler
+// registered for its Kind on the lane it lands on. It is scheduled loose
+// (AtEvent/SendEvent) or through an ordered Queue (AtQueue/SendQueue).
+// Records live in per-lane pools with freelists; a lane's pool is touched
+// only while that lane runs (single goroutine at a time), so the pools need
+// no locking — the freelist ownership argument is the lane ownership
+// argument.
+//
+// A lane orders its pending events with a hand-written 4-ary heap over value
+// entries: no interface boxing, no per-push allocation. Most events a model
+// schedules belong to a stream whose times never decrease (a bus's
+// completions, one source's messages at a fixed latency), so a lane can also
+// hold ordered queues: rings whose keys arrive in non-decreasing order. The
+// heap then holds the loose events plus one entry per non-empty queue,
+// carrying the queue's head key, instead of every pending event. A push onto
+// a non-empty queue is O(1); a pop of a queue's head re-sifts the heap top
+// with the queue's next key. A push whose key falls below its queue's tail
+// goes onto the heap loose instead and is counted (Engine.Fallbacks), so
+// every queue stays sorted, the heap minimum is still the lane minimum, and
+// the dispatch order is exactly the all-loose order. The steady state
+// performs no heap allocation once the per-lane pools and rings have warmed
+// up.
 package events
 
 import (
@@ -96,9 +110,11 @@ type rec struct {
 	ev Event
 }
 
-// heapEnt is a heap entry: the ordering key plus the index of the record in
-// the owning lane's pool. Keeping the key inline means heap sifting
-// never touches the pool.
+// heapEnt is a heap or queue entry: the ordering key plus the index of the
+// record in the owning lane's pool. Keeping the key inline means heap
+// sifting never touches the pool. q is 0 for a loose event and the queue's
+// number for the entries of a queue, including the heap entry that stands
+// for the queue's head.
 //
 // The (time, source lane, source sequence) key is packed into two words that
 // compare as unsigned integers: tk holds the bits of the event time, which
@@ -111,6 +127,7 @@ type heapEnt struct {
 	tk  uint64
 	tie uint64
 	idx int32
+	q   int32
 }
 
 // Key packing widths: srcBits + seqBits = 63.
@@ -132,12 +149,12 @@ func entLess(a, b heapEnt) bool {
 	return a.tk < b.tk || (a.tk == b.tk && a.tie < b.tie)
 }
 
-// heapPush / heapPop maintain a 4-ary min-heap over value entries. The wider
-// node cuts sift-down depth in half versus a binary heap and the value
-// records avoid container/heap's per-operation interface boxing. Heap shape
-// does not affect dispatch order: keys are unique (per-source sequence
-// numbers), so the pop order is the total (t, src, seq) order regardless of
-// arity.
+// heapPush, heapPop and siftDown maintain a 4-ary min-heap over value
+// entries. The wider node cuts sift-down depth in half versus a binary heap
+// and the value records avoid container/heap's per-operation interface
+// boxing. Heap shape does not affect dispatch order: keys are unique
+// (per-source sequence numbers), so the pop order is the total (t, src, seq)
+// order regardless of arity.
 //
 //slclint:allocfree
 func heapPush(h []heapEnt, e heapEnt) []heapEnt {
@@ -154,17 +171,28 @@ func heapPush(h []heapEnt, e heapEnt) []heapEnt {
 	return h
 }
 
+// heapPop removes the minimum, h[0].
+//
 //slclint:allocfree
-func heapPop(h []heapEnt) (heapEnt, []heapEnt) {
-	top := h[0]
+func heapPop(h []heapEnt) []heapEnt {
 	n := len(h) - 1
 	h[0] = h[n]
 	h = h[:n]
+	siftDown(h)
+	return h
+}
+
+// siftDown restores the heap order after h[0] was replaced by a key no
+// smaller than the one it held.
+//
+//slclint:allocfree
+func siftDown(h []heapEnt) {
+	n := len(h)
 	i := 0
 	for {
 		c := 4*i + 1
 		if c >= n {
-			break
+			return
 		}
 		best := c
 		end := c + 4
@@ -177,12 +205,45 @@ func heapPop(h []heapEnt) (heapEnt, []heapEnt) {
 			}
 		}
 		if !entLess(h[best], h[i]) {
-			break
+			return
 		}
 		h[i], h[best] = h[best], h[i]
 		i = best
 	}
-	return top, h
+}
+
+// ring holds one ordered queue's entries in key order: a circular buffer
+// whose length is zero or a power of two.
+type ring struct {
+	buf  []heapEnt
+	head int
+	n    int
+}
+
+// push appends e, which must not precede the ring's last entry.
+//
+//slclint:allocfree
+func (r *ring) push(e heapEnt) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = e
+	r.n++
+}
+
+// last returns the ring's last entry; the ring must not be empty.
+func (r *ring) last() heapEnt { return r.buf[(r.head+r.n-1)&(len(r.buf)-1)] }
+
+// grow doubles the ring, unwrapping its entries to the front of the new
+// buffer. It is push's cold path: a ring grows only while its queue is
+// deeper than at any earlier point, so a replay that repeats an earlier
+// one's schedule never reaches it.
+func (r *ring) grow() {
+	buf := make([]heapEnt, max(16, 2*len(r.buf)))
+	for i := 0; i < r.n; i++ {
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf, r.head = buf, 0
 }
 
 // pool is a lane's record store: a slice arena plus a freelist of vacated slots. acquire/release are O(1) and allocation-free
@@ -220,30 +281,47 @@ func (p *pool) reset() {
 }
 
 // outMsg is a cross-lane message buffered during a parallel window: the full
-// packed ordering key plus the event by value (it is copied into the target
-// lane's pool at the barrier, never shared).
+// packed ordering key, the target queue's number (0 for a loose event) and
+// the event by value (it is copied into the target lane's pool at the
+// barrier, never shared).
 type outMsg struct {
 	target *Lane
 	tk     uint64
 	tie    uint64
 	ev     Event
+	q      int32
+}
+
+// Queue is an ordered event queue registered on one lane (Lane.NewQueue).
+// Events scheduled through it should arrive in non-decreasing (time, source
+// lane, source sequence) order — a stream whose times never decrease, sent
+// from one lane, has that order — and then cost O(1) to schedule. An event
+// that arrives out of order is still dispatched exactly in key order, only
+// through the lane's heap, and counts as a fallback (Engine.Fallbacks).
+type Queue struct {
+	lane *Lane
+	id   int32
 }
 
 // Lane is one event shard of an Engine. A lane owns the state of the
 // component running on it; its events execute strictly in key order on a
 // single goroutine at a time, so lane-local state — including the lane's
 // event pool and freelist — needs no locking. Lanes interact only through
-// SendEvent.
+// SendEvent and SendQueue.
 type Lane struct {
-	id       int32
-	eng      *Engine
-	h        []heapEnt
-	pool     pool
-	handlers [numKinds]Handler
-	now      float64
-	genSeq   int64
-	executed int64
-	outbox   []outMsg
+	id  int32
+	eng *Engine
+	h   []heapEnt
+	// queues holds the lane's ordered queues by number. Number 0 marks a
+	// loose event, so queues[0] is never used.
+	queues    []ring
+	pool      pool
+	handlers  [numKinds]Handler
+	now       float64
+	genSeq    int64
+	executed  int64
+	fallbacks int64
+	outbox    []outMsg
 }
 
 // Now returns the lane's local simulation time.
@@ -253,19 +331,77 @@ func (l *Lane) Now() float64 { return l.now }
 // dispatched on this lane. Handlers survive Engine.Reset.
 func (l *Lane) SetHandler(kind uint8, h Handler) { l.handlers[kind] = h }
 
-// AtEvent schedules an event on this lane; times before Now are clamped to
-// Now. It may be called only from the lane's own events, or between
-// Engine.Run calls.
+// NewQueue registers an ordered queue on the lane. Register queues while
+// wiring a model, before the engine runs; they survive Engine.Reset.
+func (l *Lane) NewQueue() Queue {
+	l.queues = append(l.queues, ring{})
+	return Queue{lane: l, id: int32(len(l.queues) - 1)}
+}
+
+// AtEvent schedules a loose event on this lane; times before Now are
+// clamped to Now. It may be called only from the lane's own events, or
+// between Engine.Run calls.
 //
 //slclint:allocfree
-func (l *Lane) AtEvent(t float64, ev Event) {
+func (l *Lane) AtEvent(t float64, ev Event) { l.at(0, t, ev) }
+
+// AtQueue schedules an event on this lane through q, which must be one of
+// this lane's queues; times before Now are clamped to Now. It may be called
+// from the same places as AtEvent.
+//
+//slclint:allocfree
+func (l *Lane) AtQueue(q Queue, t float64, ev Event) {
+	if q.lane != l {
+		l.foreignQueue(q)
+	}
+	l.at(q.id, t, ev)
+}
+
+// foreignQueue is AtQueue's cold panic: a queue of another lane is reached
+// through SendQueue, which checks the lookahead.
+func (l *Lane) foreignQueue(q Queue) {
+	panic(fmt.Sprintf("events: AtQueue on lane %d with a queue of lane %d", l.id, q.lane.id))
+}
+
+// at is the local scheduling path of AtEvent and AtQueue; q is a queue
+// number, or 0 for a loose event.
+//
+//slclint:allocfree
+func (l *Lane) at(q int32, t float64, ev Event) {
 	if t < l.now {
 		t = l.now
 	}
+	tk, tie := packKey(t, l.id, l.nextSeq())
+	l.enqueue(q, tk, tie, ev)
+}
+
+// enqueue is the one path by which an event enters a lane's schedule,
+// whether it is loose or queued, local or delivered from another lane. The
+// record goes into the pool; the entry goes onto queue q unless its key
+// precedes the queue's last entry, and onto the heap when it is loose
+// (q == 0), when it is a fallback from its queue, or when it becomes the
+// head of an empty queue.
+//
+//slclint:allocfree
+func (l *Lane) enqueue(q int32, tk, tie uint64, ev Event) {
 	idx := l.pool.acquire()
 	l.pool.recs[idx] = rec{ev: ev}
-	tk, tie := packKey(t, l.id, l.nextSeq())
-	l.h = heapPush(l.h, heapEnt{tk: tk, tie: tie, idx: idx})
+	e := heapEnt{tk: tk, tie: tie, idx: idx}
+	if q != 0 {
+		r := &l.queues[q]
+		switch {
+		case r.n == 0: // the new head stands for the queue on the heap
+			e.q = q
+			r.push(e)
+		case !entLess(e, r.last()):
+			e.q = q
+			r.push(e)
+			return
+		default:
+			l.fallbacks++
+		}
+	}
+	l.h = heapPush(l.h, e)
 }
 
 // nextSeq advances and returns the lane's sequence number, which must fit
@@ -297,29 +433,39 @@ func (l *Lane) checkSend(to *Lane, t float64) {
 	}
 }
 
-// SendEvent schedules an event on the target lane at time t, from an event
-// executing on this lane. Cross-lane sends must respect the engine's
+// SendEvent schedules a loose event on the target lane at time t, from an
+// event executing on this lane. Cross-lane sends must respect the engine's
 // lookahead: t must be at least the sending lane's Now plus the lookahead.
 // Sending to the own lane is a plain AtEvent with no latency constraint.
 // During a parallel window the message is buffered in the outbox for
 // delivery at the barrier; in serial mode it goes straight into the
-// target's pool and heap (safe: only one lane runs at a time).
+// target's schedule (safe: only one lane runs at a time).
 //
 //slclint:allocfree
-func (l *Lane) SendEvent(to *Lane, t float64, ev Event) {
+func (l *Lane) SendEvent(to *Lane, t float64, ev Event) { l.send(to, 0, t, ev) }
+
+// SendQueue is SendEvent through queue q, on the lane q is registered on;
+// the barrier of a parallel window delivers the message into q.
+//
+//slclint:allocfree
+func (l *Lane) SendQueue(q Queue, t float64, ev Event) { l.send(q.lane, q.id, t, ev) }
+
+// send is the path of SendEvent and SendQueue; q is the number of a queue
+// of lane to, or 0 for a loose event.
+//
+//slclint:allocfree
+func (l *Lane) send(to *Lane, q int32, t float64, ev Event) {
 	if to == l {
-		l.AtEvent(t, ev)
+		l.at(q, t, ev)
 		return
 	}
 	l.checkSend(to, t)
 	tk, tie := packKey(t, l.id, l.nextSeq())
 	if l.eng.parallel {
-		l.outbox = append(l.outbox, outMsg{target: to, tk: tk, tie: tie, ev: ev})
+		l.outbox = append(l.outbox, outMsg{target: to, tk: tk, tie: tie, ev: ev, q: q})
 		return
 	}
-	idx := to.pool.acquire()
-	to.pool.recs[idx] = rec{ev: ev}
-	to.h = heapPush(to.h, heapEnt{tk: tk, tie: tie, idx: idx})
+	to.enqueue(q, tk, tie, ev)
 }
 
 // headTime returns the lane's earliest pending event time, or +Inf.
@@ -334,8 +480,19 @@ func (l *Lane) headTime() float64 {
 //
 //slclint:allocfree
 func (l *Lane) step() {
-	var ent heapEnt
-	ent, l.h = heapPop(l.h)
+	ent := l.h[0]
+	if ent.q == 0 {
+		l.h = heapPop(l.h)
+	} else if q := &l.queues[ent.q]; q.n > 1 {
+		// The queue's next entry takes over its heap slot.
+		q.head = (q.head + 1) & (len(q.buf) - 1)
+		q.n--
+		l.h[0] = q.buf[q.head]
+		siftDown(l.h)
+	} else {
+		q.n = 0
+		l.h = heapPop(l.h)
+	}
 	r := l.pool.recs[ent.idx]
 	l.pool.release(ent.idx)
 	l.now = entTime(ent)
@@ -359,11 +516,14 @@ func (l *Lane) runWindow(horizon float64) {
 	}
 }
 
-// reset returns the lane to its pre-run state, keeping handlers and every
-// backing array (heap, pool, freelist, outbox) so a subsequent replay of the
-// same schedule allocates nothing.
+// reset returns the lane to its pre-run state, keeping handlers, queues and
+// every backing array (heap, rings, pool, freelist, outbox) so a subsequent
+// replay of the same schedule allocates nothing.
 func (l *Lane) reset() {
 	l.h = l.h[:0]
+	for i := range l.queues {
+		l.queues[i].head, l.queues[i].n = 0, 0
+	}
 	l.pool.reset()
 	for i := range l.outbox {
 		l.outbox[i] = outMsg{}
@@ -372,6 +532,7 @@ func (l *Lane) reset() {
 	l.now = 0
 	l.genSeq = 0
 	l.executed = 0
+	l.fallbacks = 0
 }
 
 // Engine is a set of lanes sharing a simulated clock. Run(1) drains the
@@ -397,7 +558,7 @@ func NewEngine(n int, lookahead float64) *Engine {
 	}
 	e := &Engine{lanes: make([]*Lane, n), lookahead: lookahead}
 	for i := range e.lanes {
-		e.lanes[i] = &Lane{id: int32(i), eng: e}
+		e.lanes[i] = &Lane{id: int32(i), eng: e, queues: make([]ring, 1)}
 	}
 	return e
 }
@@ -427,6 +588,11 @@ func (e *Engine) Pending() int {
 	n := 0
 	for _, l := range e.lanes {
 		n += len(l.h)
+		for i := range l.queues {
+			if q := &l.queues[i]; q.n > 0 {
+				n += q.n - 1 // the head is on the heap
+			}
+		}
 	}
 	return n
 }
@@ -439,6 +605,18 @@ func (e *Engine) Executed() int64 {
 	var n int64
 	for _, l := range e.lanes {
 		n += l.executed
+	}
+	return n
+}
+
+// Fallbacks returns how many events scheduled through a queue since the
+// engine was built or last Reset arrived below their queue's last entry and
+// went onto the heap loose. Fallbacks never change the dispatch order, only
+// its cost; the count is deterministic for a given schedule and mode.
+func (e *Engine) Fallbacks() int64 {
+	var n int64
+	for _, l := range e.lanes {
+		n += l.fallbacks
 	}
 	return n
 }
@@ -594,9 +772,7 @@ func (e *Engine) runParallel(workers int) {
 					panic(fmt.Sprintf("events: message from lane %d to lane %d at %g lands inside window ending %g",
 						l.id, m.target.id, t, horizon))
 				}
-				idx := m.target.pool.acquire()
-				m.target.pool.recs[idx] = rec{ev: m.ev}
-				m.target.h = heapPush(m.target.h, heapEnt{tk: m.tk, tie: m.tie, idx: idx})
+				m.target.enqueue(m.q, m.tk, m.tie, m.ev)
 			}
 			for i := range l.outbox {
 				l.outbox[i] = outMsg{}

@@ -148,6 +148,7 @@ type System struct {
 	cfg      Config
 	coord    *events.Lane
 	lanes    []*events.Lane // one per channel; entries may alias
+	queues   []chanQueues   // one per channel
 	channels []*dram.Channel
 	mdcs     []*mdcCache
 	cycleNs  float64
@@ -159,6 +160,20 @@ type System struct {
 	// metaBase is a fictitious address range for metadata fetches, placed
 	// beyond the data space so metadata rows do not alias data rows.
 	metaBase uint64
+}
+
+// chanQueues are the ordered event queues of one channel's traffic. Each
+// carries one stream whose times never decrease: a fixed latency added to
+// the Now of the single lane that schedules it.
+type chanQueues struct {
+	// On the channel's lane: the coordinator's messages at now+path (opRead,
+	// opWriteData, opWriteMeta), its compressed writes at
+	// now+path+compress, and the writes a metadata fetch released at
+	// now+compress (opWriteAfterMeta).
+	in, inCompress, afterMeta events.Queue
+	// On the coordinator: read completions at now+path, and those paying the
+	// decompression latency at now+decompress+path.
+	resp, respDecomp events.Queue
 }
 
 // New builds the subsystem with the front-end on coord and channel i's DRAM
@@ -185,6 +200,7 @@ func New(cfg Config, coord *events.Lane, chanLanes []*events.Lane, pathNs float6
 		cfg:       cfg,
 		coord:     coord,
 		lanes:     chanLanes,
+		queues:    make([]chanQueues, cfg.Channels()),
 		channels:  make([]*dram.Channel, cfg.Channels()),
 		mdcs:      make([]*mdcCache, cfg.Controllers),
 		cycleNs:   cfg.Dram.CycleNs(),
@@ -206,6 +222,13 @@ func New(cfg Config, coord *events.Lane, chanLanes []*events.Lane, pathNs float6
 			return nil, err
 		}
 		s.channels[i] = ch
+		s.queues[i] = chanQueues{
+			in:         lane.NewQueue(),
+			inCompress: lane.NewQueue(),
+			afterMeta:  lane.NewQueue(),
+			resp:       coord.NewQueue(),
+			respDecomp: coord.NewQueue(),
+		}
 	}
 	for i := range s.mdcs {
 		s.mdcs[i] = newMDC(cfg.MDCLines, cfg.MDCWays)
@@ -313,7 +336,7 @@ func (s *System) ReadEvent(addr uint64, bursts int, compressed bool, doneEv even
 			a |= flagFetch
 		}
 	}
-	s.coord.SendEvent(s.lanes[ch], s.coord.Now()+s.pathNs, events.Event{
+	s.coord.SendQueue(s.queues[ch].in, s.coord.Now()+s.pathNs, events.Event{
 		Addr: addr,
 		Aux:  events.PackCompletion(doneEv),
 		A:    a,
@@ -336,18 +359,19 @@ func (s *System) WriteEvent(addr uint64, bursts int, compressed bool) {
 		Kind: events.KindMC,
 		Op:   opWriteData,
 	}
+	q := &s.queues[ch]
 	if !compressed {
-		s.coord.SendEvent(s.lanes[ch], now+s.pathNs, ev)
+		s.coord.SendQueue(q.in, now+s.pathNs, ev)
 		return
 	}
 	s.front.Compresses++
 	lat := float64(s.cfg.CompressCycles) * s.cycleNs
 	if !s.probeMDC(addr, ctrl) {
-		s.coord.SendEvent(s.lanes[ch], now+s.pathNs+lat, ev)
+		s.coord.SendQueue(q.inCompress, now+s.pathNs+lat, ev)
 		return
 	}
 	ev.Op = opWriteMeta
-	s.coord.SendEvent(s.lanes[ch], now+s.pathNs, ev)
+	s.coord.SendQueue(q.in, now+s.pathNs, ev)
 }
 
 // metaLine returns the number of the metadata line covering addr.
@@ -374,13 +398,14 @@ func (s *System) HandleEvent(now float64, ev events.Event) {
 	case opReadIssue:
 		s.issueRead(ev)
 	case opReadDone:
-		decompNs := 0.0
+		done := events.UnpackCompletion(ev.Aux)
 		if ev.A&flagCompressed != 0 {
 			s.laneStats[ch].Decompresses++
-			decompNs = float64(s.cfg.DecompressCycles) * s.cycleNs
+			decompNs := float64(s.cfg.DecompressCycles) * s.cycleNs
+			s.lanes[ch].SendQueue(s.queues[ch].respDecomp, now+decompNs+s.pathNs, done)
+			return
 		}
-		lane := s.lanes[ch]
-		lane.SendEvent(s.coord, now+decompNs+s.pathNs, events.UnpackCompletion(ev.Aux))
+		s.lanes[ch].SendQueue(s.queues[ch].resp, now+s.pathNs, done)
 	case opWriteData:
 		s.channels[ch].EnqueueEvent(s.localAddr(ev.Addr), int(ev.A&burstsMask), false, events.Event{})
 	case opWriteMeta:
@@ -391,7 +416,7 @@ func (s *System) HandleEvent(now float64, ev events.Event) {
 		lat := float64(s.cfg.CompressCycles) * s.cycleNs
 		data := ev
 		data.Op = opWriteData
-		s.lanes[ch].AtEvent(now+lat, data)
+		s.lanes[ch].AtQueue(s.queues[ch].afterMeta, now+lat, data)
 	default:
 		panic(fmt.Sprintf("mc: unknown event op %d", ev.Op))
 	}

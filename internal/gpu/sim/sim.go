@@ -22,9 +22,16 @@
 //
 // Warp progress is driven by small value Event records
 // (opTryIssue/opIssue/opRespond) dispatched through the lanes' handler
-// tables, and all model state — engine, caches, memory system, warp and SM
-// arrays — is built once in New and reset in place by Replay (or by Start,
-// for a replay streamed kernel by kernel). After a warm-up replay the
+// tables. Every event the model schedules, bar a DRAM channel's drain step,
+// goes through an ordered events.Queue: each scheduling site feeds a stream
+// whose times never decrease (issue attempts at now, L1- and L2-hit
+// responses at a fixed latency, each SM's issue slots, the controllers'
+// messages at the path latency, each channel's bus completions), so a lane's
+// heap holds one entry per busy stream instead of one per pending event.
+// TestQueueFallbacksZero pins that no queued event arrives out of order on
+// the fixture traces. All model state — engine, caches, memory system, warp
+// and SM arrays — is built once in New and reset in place by Replay (or by
+// Start, for a replay streamed kernel by kernel). After a warm-up replay the
 // steady-state loop performs zero heap allocations (pinned by
 // TestSimSteadyStateAllocFree). Exact Results and per-replay event counts
 // of fixed traces are pinned by committed fixtures
@@ -174,7 +181,14 @@ type Simulator struct {
 	eng       *events.Engine
 	// q is the coordinator lane: every SM, L1, L2 and warp-scheduling event
 	// runs here, so all simulator state below is lane-local to it.
-	q         *events.Lane
+	q *events.Lane
+	// The front-end's ordered queues on q, one per stream whose times never
+	// decrease: opTryIssue at now, L1- and L2-hit responses at now plus a
+	// fixed latency, and per SM opIssue at the end of its issue slot
+	// (issueFreeNs never decreases).
+	tryQ, l1HitQ, l2HitQ events.Queue
+	issueQ               []events.Queue
+
 	l1s       []*cache.Cache
 	l2        *cache.Cache
 	mem       *mc.System
@@ -232,9 +246,16 @@ func New(cfg Config) (*Simulator, error) {
 		smCycleNs: smCycleNs,
 		eng:       eng,
 		q:         coord,
+		tryQ:      coord.NewQueue(),
+		l1HitQ:    coord.NewQueue(),
+		l2HitQ:    coord.NewQueue(),
+		issueQ:    make([]events.Queue, cfg.SMs),
 		l2:        l2,
 		mem:       mem,
 		sms:       make([]smState, cfg.SMs),
+	}
+	for i := range s.issueQ {
+		s.issueQ[i] = coord.NewQueue()
 	}
 	coord.SetHandler(events.KindSim, s)
 	if cfg.L1.SizeBytes > 0 {
@@ -462,7 +483,7 @@ func (s *Simulator) Kernel(k *trace.Kernel) {
 		smv := &s.sms[s.warps[wi].sm]
 		if smv.resident < s.cfg.MaxWarpsPerSM {
 			smv.resident++
-			s.q.AtEvent(start, events.Event{Kind: events.KindSim, Op: opTryIssue, A: uint32(wi)})
+			s.q.AtQueue(s.tryQ, start, events.Event{Kind: events.KindSim, Op: opTryIssue, A: uint32(wi)})
 		} else {
 			smv.pending = append(smv.pending, int32(wi))
 		}
@@ -536,7 +557,7 @@ func (s *Simulator) tryIssueNext(wi int32, t float64) {
 	endIssue := startIssue + float64(a.Compute)*s.smCycleNs
 	smv.issueFreeNs = endIssue
 	s.res.Instructions += int64(a.Compute)
-	s.q.AtEvent(endIssue, events.Event{Kind: events.KindSim, Op: opIssue, A: uint32(wi), B: uint32(ai)})
+	s.q.AtQueue(s.issueQ[w.sm], endIssue, events.Event{Kind: events.KindSim, Op: opIssue, A: uint32(wi), B: uint32(ai)})
 }
 
 // issueAccess performs the L1/L2/DRAM path of one access. Reads join the
@@ -556,8 +577,8 @@ func (s *Simulator) issueAccess(wi int32, a trace.Access, now float64) {
 		} else if r := l1.Access(a.Addr, false); r.Hit {
 			w.outstanding++
 			hitNs := float64(s.cfg.L1HitCycles) * s.smCycleNs
-			s.q.AtEvent(now+hitNs, respondEv)
-			s.q.AtEvent(now, tryEv)
+			s.q.AtQueue(s.l1HitQ, now+hitNs, respondEv)
+			s.q.AtQueue(s.tryQ, now, tryEv)
 			return
 		}
 	}
@@ -570,18 +591,18 @@ func (s *Simulator) issueAccess(wi int32, a trace.Access, now float64) {
 		// Record the block's compressed geometry for its eventual
 		// writeback; stores are posted, the warp does not wait.
 		s.recordWrite(a)
-		s.q.AtEvent(now, tryEv)
+		s.q.AtQueue(s.tryQ, now, tryEv)
 		return
 	}
 	w.outstanding++
 	hitNs := float64(s.cfg.L2HitCycles) * s.smCycleNs
 	if res.Hit {
-		s.q.AtEvent(now+hitNs, respondEv)
+		s.q.AtQueue(s.l2HitQ, now+hitNs, respondEv)
 	} else {
 		s.mem.ReadEvent(a.Addr, int(a.Bursts), a.Compressed, respondEv)
 	}
 	// Independent next instructions keep issuing behind the load.
-	s.q.AtEvent(now, tryEv)
+	s.q.AtQueue(s.tryQ, now, tryEv)
 }
 
 // respond retires one outstanding load and unblocks the warp.

@@ -504,6 +504,28 @@ func TestReplayMatchesFixtures(t *testing.T) {
 	}
 }
 
+// TestQueueFallbacksZero pins the routing of every scheduling site through
+// an ordered queue whose stream is monotone: replaying the fixture traces,
+// serial and at two workers, no queued event arrives below its queue's tail.
+// A fallback does not change any Result, only the replay's speed, so a
+// misrouted site fails here rather than going unnoticed as a slowdown.
+func TestQueueFallbacksZero(t *testing.T) {
+	for _, fx := range fixtures {
+		for _, workers := range []int{1, 2} {
+			s, err := New(fixtureConfig(fx.cfg, workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Replay(fx.tr); err != nil {
+				t.Fatal(err)
+			}
+			if n := s.eng.Fallbacks(); n != 0 {
+				t.Errorf("%s (workers %d): %d queued events fell back to the heap, want 0", fx.name, workers, n)
+			}
+		}
+	}
+}
+
 // TestStreamedMatchesReplay pins the streamed form (Start, Kernel per
 // kernel, Finish) that overlaps the replay with the workload: fed kernel by
 // kernel, on a simulator dirtied by an earlier replay, it must return the

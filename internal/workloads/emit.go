@@ -1,6 +1,10 @@
 package workloads
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
 	"repro/internal/compress"
 	"repro/internal/gpu/device"
 )
@@ -67,6 +71,33 @@ func blocksForFloats(n int) int {
 func copyIn(ctx *Ctx, r device.Region, vals []float32) error {
 	if err := ctx.Dev.CopyFloats32(r, vals); err != nil {
 		return err
+	}
+	ctx.Sync(r)
+	return nil
+}
+
+// copyInImage is copyIn for an image: it fills a region with f of every
+// pixel value of img (the pixel values themselves when f is nil) and
+// synchronises it. f runs once per level, and the image is written to the
+// device without a float32 copy on the host.
+func copyInImage(ctx *Ctx, r device.Region, img grayLevels, f func(float32) float32) error {
+	if len(img)*4 > r.Size {
+		return fmt.Errorf("workloads: %d pixels exceed region %q (%d bytes)", len(img), r.Name, r.Size)
+	}
+	b, err := ctx.Dev.Bytes(r.Addr, len(img)*4)
+	if err != nil {
+		return err
+	}
+	var bits [256]uint32
+	for k := range bits {
+		p := float32(float64(k) / 255)
+		if f != nil {
+			p = f(p)
+		}
+		bits[k] = math.Float32bits(p)
+	}
+	for i, k := range img {
+		binary.LittleEndian.PutUint32(b[i*4:], bits[k])
 	}
 	ctx.Sync(r)
 	return nil

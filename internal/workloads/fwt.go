@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"sync"
+
 	"repro/internal/compress"
 	"repro/internal/metrics"
 )
@@ -11,11 +13,15 @@ import (
 // wrote, approximation errors feed back — the effect the paper discusses
 // when comparing the TSLC variants.
 type fwt struct {
-	n int
+	n     int
+	input func() []float32 // the input signal, built once and shared read-only
 }
 
 // NewFWT returns the FWT workload (paper input: 8 M elements; scaled to 256 K).
-func NewFWT() Workload { return &fwt{n: 256 << 10} }
+func NewFWT() Workload {
+	const n = 256 << 10
+	return &fwt{n: n, input: sync.OnceValue(func() []float32 { return quantizedSignal(n, 1.0/256, 5005) })}
+}
 
 // Info implements Workload.
 func (w *fwt) Info() Info {
@@ -38,7 +44,7 @@ func (w *fwt) Run(ctx *Ctx) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := copyIn(ctx, a, quantizedSignal(w.n, 1.0/256, 5005)); err != nil {
+	if err := copyIn(ctx, a, w.input()); err != nil {
 		return nil, err
 	}
 

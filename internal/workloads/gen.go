@@ -40,10 +40,16 @@ func (r *xorshift64) uniform(lo, hi, step float64) float32 {
 	return float32(v)
 }
 
+// grayLevels is an image quantised to 256 intensity levels: pixel i has the
+// value levels[i]/255 (copyInImage writes it to the device). At one byte a
+// pixel, an image that every run of a workload shares is a quarter of its
+// float32 size.
+type grayLevels []uint8
+
 // smoothImage synthesises a w×h image: a few broad Gaussian blobs over a
 // gradient, quantised to 256 intensity levels in [0, 1] — the profile of the
 // natural images the DCT/SRAD benchmarks process.
-func smoothImage(w, h int, seed uint64) []float32 {
+func smoothImage(w, h int, seed uint64) grayLevels {
 	rng := newRNG(seed)
 	type blob struct{ cx, cy, sigma, amp float64 }
 	blobs := make([]blob, 6)
@@ -55,7 +61,7 @@ func smoothImage(w, h int, seed uint64) []float32 {
 			amp:   0.3 + 0.7*rng.float01(),
 		}
 	}
-	img := make([]float32, w*h)
+	img := make(grayLevels, w*h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			v := 0.15 + 0.2*float64(x)/float64(w) + 0.1*float64(y)/float64(h)
@@ -66,7 +72,7 @@ func smoothImage(w, h int, seed uint64) []float32 {
 			if v > 1 {
 				v = 1
 			}
-			img[y*w+x] = float32(math.Round(v*255) / 255)
+			img[y*w+x] = uint8(math.Round(v * 255))
 		}
 	}
 	return img

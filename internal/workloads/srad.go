@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/compress"
 	"repro/internal/gpu/device"
@@ -21,14 +22,22 @@ type srad struct {
 	name  string
 	dim   int
 	iters int
-	full  bool // SRAD1 materialises dW/dE and the coefficient stencil
+	full  bool              // SRAD1 materialises dW/dE and the coefficient stencil
+	input func() grayLevels // the input image, built once and shared read-only
+}
+
+// newSRAD builds an SRAD workload over a 512×512 image.
+func newSRAD(name string, full bool) *srad {
+	const dim = 512
+	return &srad{name: name, dim: dim, iters: 4, full: full,
+		input: sync.OnceValue(func() grayLevels { return smoothImage(dim, dim, 8008) })}
 }
 
 // NewSRAD1 returns the SRAD1 workload (paper input: 1024²; scaled to 512²).
-func NewSRAD1() Workload { return &srad{name: "SRAD1", dim: 512, iters: 4, full: true} }
+func NewSRAD1() Workload { return newSRAD("SRAD1", true) }
 
 // NewSRAD2 returns the SRAD2 workload.
-func NewSRAD2() Workload { return &srad{name: "SRAD2", dim: 512, iters: 4, full: false} }
+func NewSRAD2() Workload { return newSRAD("SRAD2", false) }
 
 // Info implements Workload.
 func (w *srad) Info() Info {
@@ -86,16 +95,12 @@ func (w *srad) Run(ctx *Ctx) ([]float64, error) {
 		}
 	}
 
-	// J = exp(I), the Rodinia pre-scaling (keeps J strictly positive).
-	pix := smoothImage(w.dim, w.dim, 8008)
-	if err := copyIn(ctx, img, pix); err != nil {
+	if err := copyInImage(ctx, img, w.input(), nil); err != nil {
 		return nil, err
 	}
-	jv := make([]float32, n)
-	for i, p := range pix {
-		jv[i] = float32(math.Exp(float64(p)))
-	}
-	if err := copyIn(ctx, j, jv); err != nil {
+	// J = exp(I), the Rodinia pre-scaling (keeps J strictly positive).
+	exp := func(p float32) float32 { return float32(math.Exp(float64(p))) }
+	if err := copyInImage(ctx, j, w.input(), exp); err != nil {
 		return nil, err
 	}
 

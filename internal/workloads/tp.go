@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"sync"
+
 	"repro/internal/compress"
 	"repro/internal/metrics"
 )
@@ -10,11 +12,15 @@ import (
 // are coalesced. Input and output matrices are safe to approximate
 // (Table III: #AR 2).
 type tp struct {
-	dim int
+	dim   int
+	input func() grayLevels // the input matrix, built once and shared read-only
 }
 
 // NewTP returns the TP workload (paper input: 1024×1024).
-func NewTP() Workload { return &tp{dim: 1024} }
+func NewTP() Workload {
+	const dim = 1024
+	return &tp{dim: dim, input: sync.OnceValue(func() grayLevels { return smoothImage(dim, dim, 3003) })}
+}
 
 // Info implements Workload.
 func (w *tp) Info() Info {
@@ -38,7 +44,7 @@ func (w *tp) Run(ctx *Ctx) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := copyIn(ctx, in, smoothImage(w.dim, w.dim, 3003)); err != nil {
+	if err := copyInImage(ctx, in, w.input(), nil); err != nil {
 		return nil, err
 	}
 

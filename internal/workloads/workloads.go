@@ -8,7 +8,11 @@
 // original benchmarks (smooth images, quantised market data, clustered
 // coordinates). Sizes are scaled from the paper where needed to keep
 // runtimes in seconds; compression operates per 128-byte block and is
-// insensitive to total footprint.
+// insensitive to total footprint. The inputs that cost the most to
+// synthesise (the smooth images of TP, DCT and SRAD, FWT's signal) are built
+// once per workload instance, on its first run, and shared read-only by
+// every later run: the evaluation runs one instance under many
+// configurations, several at a time.
 package workloads
 
 import (

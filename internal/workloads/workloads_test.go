@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/compress"
@@ -121,6 +122,60 @@ func TestDeterministicOutputs(t *testing.T) {
 	}
 }
 
+// TestSharedInputsReadOnly covers the workloads whose synthetic inputs are
+// built once per instance and shared by every run. Three runs go through one
+// instance: a clean run, a run whose sync flips a mantissa bit of every
+// synced float (the way a lossy codec rewrites the device image), and a
+// second clean run. The two clean runs must give bitwise-equal outputs, and
+// the shared input must still equal a fresh build by its generator.
+func TestSharedInputsReadOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("repeat runs in -short mode")
+	}
+	tpW, dctW, fwtW := NewTP().(*tp), NewDCT().(*dct), NewFWT().(*fwt)
+	srad1, srad2 := NewSRAD1().(*srad), NewSRAD2().(*srad)
+	cases := []struct {
+		w      Workload
+		intact func() bool
+	}{
+		{tpW, func() bool { return slices.Equal(tpW.input(), smoothImage(1024, 1024, 3003)) }},
+		{dctW, func() bool { return slices.Equal(dctW.input(), smoothImage(1024, 1024, 4004)) }},
+		{fwtW, func() bool { return slices.Equal(fwtW.input(), quantizedSignal(256<<10, 1.0/256, 5005)) }},
+		{srad1, func() bool { return slices.Equal(srad1.input(), smoothImage(512, 512, 8008)) }},
+		{srad2, func() bool { return slices.Equal(srad2.input(), smoothImage(512, 512, 8008)) }},
+	}
+	for _, c := range cases {
+		t.Run(c.w.Info().Name, func(t *testing.T) {
+			first, _ := runGolden(t, c.w)
+			dev := device.New()
+			flip := func(r device.Region) {
+				b, err := dev.Bytes(r.Addr, r.Size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < len(b); i += 4 {
+					b[i] ^= 1
+				}
+			}
+			if _, err := c.w.Run(NewCtx(dev, nil, flip)); err != nil {
+				t.Fatal(err)
+			}
+			second, _ := runGolden(t, c.w)
+			if len(first) != len(second) {
+				t.Fatalf("output lengths %d and %d", len(first), len(second))
+			}
+			for i := range first {
+				if math.Float64bits(first[i]) != math.Float64bits(second[i]) {
+					t.Fatalf("output %d differs across runs on one instance: %v vs %v", i, first[i], second[i])
+				}
+			}
+			if !c.intact() {
+				t.Error("the shared input differs from a fresh build after the runs")
+			}
+		})
+	}
+}
+
 func TestApproxRegionCountsMatchDevice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload sweep in -short mode")
@@ -169,10 +224,24 @@ func TestTriTriIntersect(t *testing.T) {
 	}
 }
 
+// TestSmoothImageProperties checks the pixel values copyInImage writes for
+// a smooth image: inside [0, 1] and quantised to 1/255.
 func TestSmoothImageProperties(t *testing.T) {
-	img := smoothImage(64, 64, 1)
-	if len(img) != 64*64 {
-		t.Fatalf("len = %d", len(img))
+	levels := smoothImage(64, 64, 1)
+	if len(levels) != 64*64 {
+		t.Fatalf("len = %d", len(levels))
+	}
+	dev := device.New()
+	r, err := dev.Malloc("img", len(levels)*4, false, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := copyInImage(NewCtx(dev, nil, nil), r, levels, nil); err != nil {
+		t.Fatal(err)
+	}
+	img, err := dev.ReadFloats32(r, len(levels))
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i, v := range img {
 		if v < 0 || v > 1 {
