@@ -176,10 +176,10 @@ func analyze(block []byte) (encoding, int) {
 	return best, bestBits
 }
 
-// CompressedBits implements compress.SizeOnly.
-func (Codec) CompressedBits(block []byte) int {
+// SyncBlock implements compress.Codec; BDI is lossless.
+func (Codec) SyncBlock(block []byte) (int, bool) {
 	_, bits := analyze(block)
-	return bits
+	return bits, false
 }
 
 // Compress implements compress.Codec.

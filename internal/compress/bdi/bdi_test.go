@@ -112,13 +112,15 @@ func TestIncompressibleBlock(t *testing.T) {
 	}
 }
 
-func TestCompressedBitsMatchesCompress(t *testing.T) {
+func TestSyncBlockMatchesCompress(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var c Codec
 	for trial := 0; trial < 200; trial++ {
 		block := structuredBlock(rng)
-		if got, want := c.CompressedBits(block), c.Compress(block).Bits; got != want {
-			t.Fatalf("CompressedBits = %d, Compress.Bits = %d", got, want)
+		want := c.Compress(block).Bits
+		orig := bytes.Clone(block)
+		if got, lossy := c.SyncBlock(block); got != want || lossy || !bytes.Equal(block, orig) {
+			t.Fatalf("SyncBlock = (%d, %v), Compress.Bits = %d, block changed %v", got, lossy, want, !bytes.Equal(block, orig))
 		}
 	}
 }

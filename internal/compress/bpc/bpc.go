@@ -148,9 +148,9 @@ func trailing(v uint64) int {
 	return n
 }
 
-// CompressedBits implements compress.SizeOnly.
-func (c Codec) CompressedBits(block []byte) int {
-	return c.Compress(block).Bits
+// SyncBlock implements compress.Codec; BPC is lossless.
+func (c Codec) SyncBlock(block []byte) (int, bool) {
+	return c.Compress(block).Bits, false
 }
 
 // Compress implements compress.Codec.

@@ -92,7 +92,7 @@ func TestRandomFallsBackToRaw(t *testing.T) {
 	}
 }
 
-func TestCompressedBitsMatchesCompress(t *testing.T) {
+func TestSyncBlockMatchesCompress(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	var c Codec
 	for trial := 0; trial < 200; trial++ {
@@ -109,8 +109,10 @@ func TestCompressedBitsMatchesCompress(t *testing.T) {
 		case 2:
 			rng.Read(block)
 		}
-		if got, want := c.CompressedBits(block), c.Compress(block).Bits; got != want {
-			t.Fatalf("trial %d: CompressedBits=%d Compress=%d", trial, got, want)
+		want := c.Compress(block).Bits
+		orig := bytes.Clone(block)
+		if got, lossy := c.SyncBlock(block); got != want || lossy || !bytes.Equal(block, orig) {
+			t.Fatalf("trial %d: SyncBlock = (%d, %v), Compress.Bits = %d, block changed %v", trial, got, lossy, want, !bytes.Equal(block, orig))
 		}
 	}
 }

@@ -92,7 +92,7 @@ func BenchmarkE2MC(b *testing.B) {
 func benchSync(b *testing.B, workers int) {
 	const regionSize = 4 << 20
 	dev := device.New()
-	r, err := dev.Malloc("bench", regionSize, true, 16)
+	r, err := dev.Malloc("bench", regionSize, true)
 	if err != nil {
 		b.Fatal(err)
 	}

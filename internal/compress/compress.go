@@ -1,8 +1,8 @@
 // Package compress defines the common model shared by all memory compression
 // techniques in this repository: the 128-byte memory block, the memory access
 // granularity (MAG) arithmetic that separates raw from effective compression
-// ratio, and the Codec interface implemented by BDI, FPC, C-PACK, E2MC and
-// BPC.
+// ratio, and the Codec interface every registered technique implements (see
+// registry.go).
 //
 // Terminology follows the SLC paper (Lal et al., DATE 2019):
 //
@@ -61,26 +61,18 @@ func (e Encoded) Bytes() int { return (e.Bits + 7) / 8 }
 // Compress must accept exactly BlockSize bytes. Decompress must reconstruct
 // the original block exactly for lossless codecs; dst must have room for
 // BlockSize bytes.
+//
+// SyncBlock is the pipeline's per-block sync step: it sizes the block the way
+// the memory controller does before encoding it (paper §III-C) and applies
+// any lossy write-back in place, without materialising a bitstream. It must
+// be equivalent to Compress followed, when Lossy, by Decompress copied over
+// block: the same bits, the same lossy flag and the same final block
+// contents; a non-lossy SyncBlock leaves block unchanged. The fuzz harness
+// pins this for every registered codec.
 type Codec interface {
 	Name() string
 	Compress(block []byte) Encoded
 	Decompress(enc Encoded, dst []byte) error
-}
-
-// SizeOnly is implemented by codecs that can report the compressed size of a
-// block cheaply, without materialising the bitstream. SLC uses this fast path
-// to choose a compression mode before compressing (paper §III-C).
-type SizeOnly interface {
-	CompressedBits(block []byte) int
-}
-
-// Syncer is implemented by codecs that can run the pipeline's per-block sync
-// step — compress, and apply any lossy write-back into block in place —
-// without materialising a bitstream. It must be equivalent to
-// Compress followed (when Lossy) by Decompress copied over block: the same
-// bits, the same lossy flag, the same final block contents. The pipeline
-// prefers it because it keeps the per-block steady state allocation-free.
-type Syncer interface {
 	SyncBlock(block []byte) (bits int, lossy bool)
 }
 
@@ -138,10 +130,7 @@ func (Raw) Compress(block []byte) Encoded {
 	return Encoded{Bits: BlockBits, Payload: p}
 }
 
-// CompressedBits implements SizeOnly.
-func (Raw) CompressedBits([]byte) int { return BlockBits }
-
-// SyncBlock implements Syncer; the identity codec never mutates the block.
+// SyncBlock implements Codec; the identity codec never mutates the block.
 func (Raw) SyncBlock([]byte) (int, bool) { return BlockBits, false }
 
 // Decompress implements Codec.

@@ -120,18 +120,15 @@ func encodeWord(word uint32, d *dict, w *compress.BitWriter) int {
 	}
 }
 
-// CompressedBits implements compress.SizeOnly.
-func (Codec) CompressedBits(block []byte) int {
+// SyncBlock implements compress.Codec; C-PACK is lossless.
+func (Codec) SyncBlock(block []byte) (int, bool) {
 	words := compress.Words(block)
 	var d dict
 	bits := 0
 	for _, word := range words {
 		bits += encodeWord(word, &d, nil)
 	}
-	if bits > compress.BlockBits {
-		bits = compress.BlockBits
-	}
-	return bits
+	return min(bits, compress.BlockBits), false
 }
 
 // Compress implements compress.Codec.

@@ -91,7 +91,7 @@ func TestIncompressibleFallsBackToRaw(t *testing.T) {
 	}
 }
 
-func TestCompressedBitsMatchesCompress(t *testing.T) {
+func TestSyncBlockMatchesCompress(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	var c Codec
 	for trial := 0; trial < 300; trial++ {
@@ -109,8 +109,10 @@ func TestCompressedBitsMatchesCompress(t *testing.T) {
 				binary.LittleEndian.PutUint32(block[i*4:], math.Float32bits(rng.Float32()*10))
 			}
 		}
-		if got, want := c.CompressedBits(block), c.Compress(block).Bits; got != want {
-			t.Fatalf("trial %d: CompressedBits = %d, Compress.Bits = %d", trial, got, want)
+		want := c.Compress(block).Bits
+		orig := bytes.Clone(block)
+		if got, lossy := c.SyncBlock(block); got != want || lossy || !bytes.Equal(block, orig) {
+			t.Fatalf("trial %d: SyncBlock = (%d, %v), Compress.Bits = %d, block changed %v", trial, got, lossy, want, !bytes.Equal(block, orig))
 		}
 	}
 }

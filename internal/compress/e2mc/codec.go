@@ -217,6 +217,8 @@ func (t *Table) DecodeWaysParallel(payload []byte, wayStart [PDWs]int, skipStart
 }
 
 // payloadBytes returns the byte size of the encoded ways after the header.
+//
+//slclint:allocfree
 func payloadBytes(wayBits [PDWs]int) int {
 	n := 0
 	for _, b := range wayBits {
@@ -225,10 +227,13 @@ func payloadBytes(wayBits [PDWs]int) int {
 	return n
 }
 
-// CompressedBits implements compress.SizeOnly: header plus byte-padded ways,
-// capped at the uncompressed size. This mirrors the hardware fast path that
-// sums the per-symbol code lengths before compressing (paper §III-C).
-func (c *Codec) CompressedBits(block []byte) int {
+// SyncBlock implements compress.Codec: header plus byte-padded ways, capped
+// at the uncompressed size; E2MC is lossless. This mirrors the hardware fast
+// path that sums the per-symbol code lengths before compressing (paper
+// §III-C).
+//
+//slclint:allocfree
+func (c *Codec) SyncBlock(block []byte) (int, bool) {
 	syms := compress.Symbols(block)
 	var wayBits [PDWs]int
 	for wy := 0; wy < PDWs; wy++ {
@@ -237,11 +242,7 @@ func (c *Codec) CompressedBits(block []byte) int {
 			wayBits[wy] += c.tab.SymbolBits(syms[i])
 		}
 	}
-	bits := HeaderBits + payloadBytes(wayBits)*8
-	if bits >= compress.BlockBits {
-		return compress.BlockBits
-	}
-	return bits
+	return min(HeaderBits+payloadBytes(wayBits)*8, compress.BlockBits), false
 }
 
 // Compress implements compress.Codec. Blocks that do not compress below the

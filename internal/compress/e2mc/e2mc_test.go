@@ -132,7 +132,7 @@ func TestCodecRoundTripUntrainedData(t *testing.T) {
 	}
 }
 
-func TestCompressedBitsMatchesCompress(t *testing.T) {
+func TestSyncBlockMatchesCompress(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	blocks := make([][]byte, 300)
 	for i := range blocks {
@@ -146,8 +146,10 @@ func TestCompressedBitsMatchesCompress(t *testing.T) {
 	tab := trainOn(t, len(blocks), func(i int) []byte { return blocks[i] })
 	c := New(tab)
 	for i, b := range blocks {
-		if got, want := c.CompressedBits(b), c.Compress(b).Bits; got != want {
-			t.Fatalf("block %d: CompressedBits=%d Compress=%d", i, got, want)
+		want := c.Compress(b).Bits
+		orig := bytes.Clone(b)
+		if got, lossy := c.SyncBlock(b); got != want || lossy || !bytes.Equal(b, orig) {
+			t.Fatalf("block %d: SyncBlock = (%d, %v), Compress.Bits = %d, block changed %v", i, got, lossy, want, !bytes.Equal(b, orig))
 		}
 	}
 }

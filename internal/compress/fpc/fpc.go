@@ -59,8 +59,12 @@ func classify(w uint32) (pat int, payloadBits int, payload uint32) {
 	return pUncomp, 32, w
 }
 
-// CompressedBits implements compress.SizeOnly.
-func (Codec) CompressedBits(block []byte) int {
+// encode walks the block's words once. With w == nil only the size is
+// accounted; otherwise the pattern stream is emitted. Both paths share the
+// walk, so SyncBlock always agrees with Compress.
+//
+//slclint:allocfree
+func encode(block []byte, w *compress.BitWriter) int {
 	words := compress.Words(block)
 	bits := 0
 	for i := 0; i < len(words); {
@@ -69,18 +73,30 @@ func (Codec) CompressedBits(block []byte) int {
 			for i+run < len(words) && words[i+run] == 0 && run < 8 {
 				run++
 			}
+			if w != nil {
+				w.WriteBits(pZeroRun, prefixBits)
+				w.WriteBits(uint64(run-1), 3)
+			}
 			bits += prefixBits + 3
 			i += run
 			continue
 		}
-		_, pb, _ := classify(words[i])
+		pat, pb, payload := classify(words[i])
+		if w != nil {
+			w.WriteBits(uint64(pat), prefixBits)
+			w.WriteBits(uint64(payload), pb)
+		}
 		bits += prefixBits + pb
 		i++
 	}
-	if bits > compress.BlockBits {
-		bits = compress.BlockBits
-	}
 	return bits
+}
+
+// SyncBlock implements compress.Codec; FPC is lossless.
+//
+//slclint:allocfree
+func (Codec) SyncBlock(block []byte) (int, bool) {
+	return min(encode(block, nil), compress.BlockBits), false
 }
 
 // Compress implements compress.Codec.
@@ -88,25 +104,8 @@ func (c Codec) Compress(block []byte) compress.Encoded {
 	if err := compress.CheckBlock(block); err != nil {
 		panic(err)
 	}
-	words := compress.Words(block)
 	w := compress.NewBitWriter(compress.BlockBits)
-	for i := 0; i < len(words); {
-		if words[i] == 0 {
-			run := 1
-			for i+run < len(words) && words[i+run] == 0 && run < 8 {
-				run++
-			}
-			w.WriteBits(pZeroRun, prefixBits)
-			w.WriteBits(uint64(run-1), 3)
-			i += run
-			continue
-		}
-		pat, pb, payload := classify(words[i])
-		w.WriteBits(uint64(pat), prefixBits)
-		w.WriteBits(uint64(payload), pb)
-		i++
-	}
-	bits := w.Len()
+	bits := encode(block, w)
 	if bits >= compress.BlockBits {
 		// Store uncompressed; the simulator treats a full-size block as raw.
 		// The boundary must be inclusive: Decompress reads any

@@ -107,15 +107,11 @@ func checkRoundTrip(t *testing.T, name string, block []byte) {
 	if len(enc.Payload) < enc.Bytes() {
 		t.Fatalf("%s: payload %d bytes shorter than encoded size %d bytes", name, len(enc.Payload), enc.Bytes())
 	}
-	if so, ok := c.(compress.SizeOnly); ok && !enc.Lossy {
-		if got := so.CompressedBits(block); got != enc.Bits {
-			t.Fatalf("%s: CompressedBits %d != Compress %d", name, got, enc.Bits)
-		}
-	}
 	dst := make([]byte, compress.BlockSize)
 	if err := c.Decompress(enc, dst); err != nil {
 		t.Fatalf("%s: decompress own output: %v", name, err)
 	}
+	checkSyncBlock(t, name, c, block, enc, dst)
 	if !enc.Lossy {
 		if !bytes.Equal(dst, block) {
 			t.Fatalf("%s: lossless round trip corrupted block\n in: %x\nout: %x", name, block, dst)
@@ -154,6 +150,28 @@ func checkRoundTrip(t *testing.T, name string, block []byte) {
 				t.Fatalf("%s: lossy stored %d bits above budget %d", name, d.StoredBits, d.BudgetBits)
 			}
 		}
+	}
+}
+
+// checkSyncBlock asserts the compress.Codec SyncBlock contract on one block,
+// given the codec's own Compress output enc and its Decompress output dst:
+// the same bits and lossy flag, the Decompress output written back when
+// lossy, and the block left unchanged otherwise. block itself is not
+// touched; SyncBlock runs on a copy.
+func checkSyncBlock(t *testing.T, name string, c compress.Codec, block []byte, enc compress.Encoded, dst []byte) {
+	t.Helper()
+	synced := make([]byte, compress.BlockSize)
+	copy(synced, block)
+	bits, lossy := c.SyncBlock(synced)
+	if bits != enc.Bits || lossy != enc.Lossy {
+		t.Fatalf("%s: SyncBlock (%d, %v) disagrees with Compress (%d, %v)",
+			name, bits, lossy, enc.Bits, enc.Lossy)
+	}
+	if lossy && !bytes.Equal(synced, dst) {
+		t.Fatalf("%s: SyncBlock write-back differs from Decompress output", name)
+	}
+	if !lossy && !bytes.Equal(synced, block) {
+		t.Fatalf("%s: non-lossy SyncBlock mutated the block", name)
 	}
 }
 
@@ -228,9 +246,8 @@ func FuzzRoundTripSLC(f *testing.F)     { fuzzFamily(f, "slc") }
 
 // checkBoundedRoundTrip asserts the error-bounded contract on one codec at
 // one bound: every reconstructed float32 within the bound, non-finite lanes
-// bit-exact, sizes exact (SizeOnly agrees whether or not the encoding is
-// lossy), encoding deterministic, and the Syncer fast path equivalent to
-// Compress followed by Decompress.
+// bit-exact, encoding deterministic, and SyncBlock equivalent to Compress
+// followed by Decompress.
 func checkBoundedRoundTrip(t *testing.T, name string, bound float64, block []byte) {
 	t.Helper()
 	info, ok := compress.Lookup(name)
@@ -251,9 +268,6 @@ func checkBoundedRoundTrip(t *testing.T, name string, bound float64, block []byt
 	if len(enc.Payload) < enc.Bytes() {
 		t.Fatalf("%s: payload %d bytes shorter than encoded size %d bytes", name, len(enc.Payload), enc.Bytes())
 	}
-	if got := c.(compress.SizeOnly).CompressedBits(block); got != enc.Bits {
-		t.Fatalf("%s: CompressedBits %d != Compress %d", name, got, enc.Bits)
-	}
 	enc2 := c.Compress(block)
 	if enc2.Bits != enc.Bits || enc2.Lossy != enc.Lossy || !bytes.Equal(enc2.Payload, enc.Payload) {
 		t.Fatalf("%s: two encodes of the same block differ", name)
@@ -269,19 +283,7 @@ func checkBoundedRoundTrip(t *testing.T, name string, bound float64, block []byt
 		t.Fatalf("%s: reconstruction off by %g at bound %g\n in: %x\nout: %x",
 			name, diff, bound, block, dst)
 	}
-	synced := make([]byte, compress.BlockSize)
-	copy(synced, block)
-	bits, lossy := c.(compress.Syncer).SyncBlock(synced)
-	if bits != enc.Bits || lossy != enc.Lossy {
-		t.Fatalf("%s: SyncBlock (%d, %v) disagrees with Compress (%d, %v)",
-			name, bits, lossy, enc.Bits, enc.Lossy)
-	}
-	if lossy && !bytes.Equal(synced, dst) {
-		t.Fatalf("%s: SyncBlock write-back differs from Decompress output", name)
-	}
-	if !lossy && !bytes.Equal(synced, block) {
-		t.Fatalf("%s: non-lossy SyncBlock mutated the block", name)
-	}
+	checkSyncBlock(t, name, c, block, enc, dst)
 }
 
 // addBoundedSeeds extends the shared corpus with float-specific blocks: the

@@ -74,9 +74,9 @@ func classify(block []byte) int {
 	return tagFPC
 }
 
-// CompressedBits implements compress.SizeOnly.
-func (c *Codec) CompressedBits(block []byte) int {
-	return c.Compress(block).Bits
+// SyncBlock implements compress.Codec; HyComp is lossless.
+func (c *Codec) SyncBlock(block []byte) (int, bool) {
+	return c.Compress(block).Bits, false
 }
 
 // Compress implements compress.Codec: classify, dispatch, tag.

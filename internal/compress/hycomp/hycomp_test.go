@@ -97,13 +97,15 @@ func TestHybridBeatsWorstConstituent(t *testing.T) {
 	}
 }
 
-func TestCompressedBitsMatchesCompress(t *testing.T) {
+func TestSyncBlockMatchesCompress(t *testing.T) {
 	c := testCodec(t)
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 100; trial++ {
 		block := floatBlock(rng)
-		if got, want := c.CompressedBits(block), c.Compress(block).Bits; got != want {
-			t.Fatalf("CompressedBits=%d Compress=%d", got, want)
+		want := c.Compress(block).Bits
+		orig := bytes.Clone(block)
+		if got, lossy := c.SyncBlock(block); got != want || lossy || !bytes.Equal(block, orig) {
+			t.Fatalf("SyncBlock = (%d, %v), Compress.Bits = %d, block changed %v", got, lossy, want, !bytes.Equal(block, orig))
 		}
 	}
 }

@@ -100,7 +100,7 @@ func findMatch(block []byte, pos int, head []int, prev []int) (matchPos, matchLe
 
 // encode runs the greedy parse once. With w == nil only the size is
 // accounted; otherwise the token stream is emitted. Both paths share the
-// parse, so CompressedBits always agrees with Compress.
+// parse, so SyncBlock always agrees with Compress.
 func encode(block []byte, w *compress.BitWriter) int {
 	// Chain state stays off the heap: both sizes are compile-time constants
 	// and encode runs once per block on the Sync hot path.
@@ -164,13 +164,9 @@ func encode(block []byte, w *compress.BitWriter) int {
 	return bits
 }
 
-// CompressedBits implements compress.SizeOnly.
-func (Codec) CompressedBits(block []byte) int {
-	bits := encode(block, nil)
-	if bits > compress.BlockBits {
-		bits = compress.BlockBits
-	}
-	return bits
+// SyncBlock implements compress.Codec; LZ4B is lossless.
+func (Codec) SyncBlock(block []byte) (int, bool) {
+	return min(encode(block, nil), compress.BlockBits), false
 }
 
 // Compress implements compress.Codec.

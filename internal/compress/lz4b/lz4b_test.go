@@ -73,7 +73,7 @@ func TestOverlappingMatchReplicates(t *testing.T) {
 	}
 }
 
-func TestCompressedBitsMatchesCompress(t *testing.T) {
+func TestSyncBlockMatchesCompress(t *testing.T) {
 	var c Codec
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 400; trial++ {
@@ -93,8 +93,10 @@ func TestCompressedBitsMatchesCompress(t *testing.T) {
 		case 3:
 			rng.Read(block[:16]) // noisy head, zero tail
 		}
-		if got, want := c.CompressedBits(block), c.Compress(block).Bits; got != want {
-			t.Fatalf("trial %d: CompressedBits = %d, Compress.Bits = %d", trial, got, want)
+		want := c.Compress(block).Bits
+		orig := bytes.Clone(block)
+		if got, lossy := c.SyncBlock(block); got != want || lossy || !bytes.Equal(block, orig) {
+			t.Fatalf("trial %d: SyncBlock = (%d, %v), Compress.Bits = %d, block changed %v", trial, got, lossy, want, !bytes.Equal(block, orig))
 		}
 	}
 }

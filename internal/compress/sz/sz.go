@@ -160,9 +160,8 @@ func isFinite32(v float32) bool {
 // analyze runs the shared encode pass over one block: for each 32-bit lane
 // it decides literal vs quantization code, records the zigzag code and the
 // word the decoder will reconstruct, and totals the encoded bits. It is the
-// single source of truth for Compress, CompressedBits and SyncBlock, and it
-// allocates nothing — SyncBlock keeps the pipeline's steady state
-// allocation-free.
+// single source of truth for Compress and SyncBlock, and it allocates
+// nothing — SyncBlock keeps the pipeline's steady state allocation-free.
 //
 //slclint:allocfree
 func (c *Codec) analyze(block []byte, codes *[compress.WordsPerBlock]uint16, recon *[compress.WordsPerBlock]uint32) (bits int, mask uint32, lossy bool) {
@@ -247,21 +246,7 @@ func (c *Codec) Compress(block []byte) compress.Encoded {
 	return compress.Encoded{Bits: w.Len(), Payload: w.Bytes(), Lossy: lossy}
 }
 
-// CompressedBits implements SizeOnly.
-func (c *Codec) CompressedBits(block []byte) int {
-	if err := compress.CheckBlock(block); err != nil {
-		panic(err)
-	}
-	var codes [compress.WordsPerBlock]uint16
-	var recon [compress.WordsPerBlock]uint32
-	bits, _, _ := c.analyze(block, &codes, &recon)
-	if bits >= compress.BlockBits {
-		return compress.BlockBits
-	}
-	return bits
-}
-
-// SyncBlock implements Syncer: size the block and apply the lossy
+// SyncBlock implements compress.Codec: size the block and apply the lossy
 // reconstruction in place, with no bitstream. Raw-fallback blocks are left
 // untouched.
 func (c *Codec) SyncBlock(block []byte) (int, bool) {

@@ -158,9 +158,6 @@ func TestRawFallbackBoundary(t *testing.T) {
 		if !bytes.Equal(dst, block) {
 			t.Fatalf("%s: raw fallback round trip mismatch", pred)
 		}
-		if got := c.CompressedBits(block); got != compress.BlockBits {
-			t.Fatalf("%s: CompressedBits %d, want %d", pred, got, compress.BlockBits)
-		}
 		bits, lossy := c.SyncBlock(block)
 		if bits != compress.BlockBits || lossy {
 			t.Fatalf("%s: SyncBlock (%d, %v) on raw-fallback block", pred, bits, lossy)

@@ -92,28 +92,18 @@ func (c Codec) sectorBits(code int) int {
 	}
 }
 
-// CompressedBits implements compress.SizeOnly.
-func (c Codec) CompressedBits(block []byte) int {
+// encode walks the block's sectors once. With w == nil only the size is
+// accounted; otherwise the sector codes are emitted. Both paths share the
+// walk, so SyncBlock always agrees with Compress.
+func (c Codec) encode(block []byte, w *compress.BitWriter) int {
 	bits := 0
-	for off := 0; off < len(block); off += int(c.mag) {
-		code, _ := classify(block[off : off+int(c.mag)])
-		bits += c.sectorBits(code)
-	}
-	if bits > compress.BlockBits {
-		bits = compress.BlockBits
-	}
-	return bits
-}
-
-// Compress implements compress.Codec.
-func (c Codec) Compress(block []byte) compress.Encoded {
-	if err := compress.CheckBlock(block); err != nil {
-		panic(err)
-	}
-	w := compress.NewBitWriter(compress.BlockBits)
 	for off := 0; off < len(block); off += int(c.mag) {
 		sector := block[off : off+int(c.mag)]
 		code, rep := classify(sector)
+		bits += c.sectorBits(code)
+		if w == nil {
+			continue
+		}
 		w.WriteBits(uint64(code), codeBits)
 		switch code {
 		case codeRep:
@@ -124,16 +114,31 @@ func (c Codec) Compress(block []byte) compress.Encoded {
 			}
 		}
 	}
+	return bits
+}
+
+// SyncBlock implements compress.Codec; ZCD is lossless.
+func (c Codec) SyncBlock(block []byte) (int, bool) {
+	return min(c.encode(block, nil), compress.BlockBits), false
+}
+
+// Compress implements compress.Codec.
+func (c Codec) Compress(block []byte) compress.Encoded {
+	if err := compress.CheckBlock(block); err != nil {
+		panic(err)
+	}
+	w := compress.NewBitWriter(compress.BlockBits)
+	bits := c.encode(block, w)
 	// Inclusive boundary: Decompress reads any BlockBits-sized encoding as
 	// a raw payload, so an exactly 1024-bit stream must be stored raw. (All
 	// literal sectors cost 2 bits over raw each, so this always fires for
 	// blocks with no dedupable sector.)
-	if w.Len() >= compress.BlockBits {
+	if bits >= compress.BlockBits {
 		p := make([]byte, compress.BlockSize)
 		copy(p, block)
 		return compress.Encoded{Bits: compress.BlockBits, Payload: p}
 	}
-	return compress.Encoded{Bits: w.Len(), Payload: w.Bytes()}
+	return compress.Encoded{Bits: bits, Payload: w.Bytes()}
 }
 
 // Decompress implements compress.Codec.

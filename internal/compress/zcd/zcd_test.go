@@ -106,7 +106,7 @@ func TestAllLiteralFallsBackToRaw(t *testing.T) {
 	}
 }
 
-func TestCompressedBitsMatchesCompress(t *testing.T) {
+func TestSyncBlockMatchesCompress(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, mag := range []compress.MAG{compress.MAG16, compress.MAG32, compress.MAG64} {
 		c := codec(t, mag)
@@ -125,8 +125,10 @@ func TestCompressedBitsMatchesCompress(t *testing.T) {
 					rng.Read(block[off : off+int(mag)])
 				}
 			}
-			if got, want := c.CompressedBits(block), c.Compress(block).Bits; got != want {
-				t.Fatalf("MAG %s trial %d: CompressedBits = %d, Compress.Bits = %d", mag, trial, got, want)
+			want := c.Compress(block).Bits
+			orig := bytes.Clone(block)
+			if got, lossy := c.SyncBlock(block); got != want || lossy || !bytes.Equal(block, orig) {
+				t.Fatalf("MAG %s trial %d: SyncBlock = (%d, %v), Compress.Bits = %d, block changed %v", mag, trial, got, lossy, want, !bytes.Equal(block, orig))
 			}
 			roundTrip(t, c, block)
 		}

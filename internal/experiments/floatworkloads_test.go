@@ -125,7 +125,7 @@ func TestBoundedPipelineCompliance(t *testing.T) {
 				t.Fatal(err)
 			}
 			const n = 1 << 14
-			reg, err := dev.Malloc("field", n*4, true, 0)
+			reg, err := dev.Malloc("field", n*4, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,12 +1,19 @@
 // Package device models the GPU's global memory and the paper's programming
 // model for safe approximation: an extended cudaMalloc that tags a memory
-// region as safe-to-approximate with a per-region lossy threshold (§IV-C):
+// region as safe-to-approximate (§IV-C):
 //
 //	cudaMalloc(void** devPtr, size_t size, bool safeToApprox, size_t threshold)
 //
 // The simulator uses the region table to decide which loads may be served
 // from lossily compressed blocks, exactly as the paper's modified gpgpu-sim
 // uses the address and size returned by the extended cudaMalloc.
+//
+// The paper's cudaMalloc also takes a per-region lossy threshold. This
+// reproduction departs from that: Malloc takes no threshold, and one lossy
+// threshold per configuration (the lossy codec's, e.g. slc.Config's
+// ThresholdBits) applies to every safe-to-approximate region, so a threshold
+// sweep (slcsim -threshold, experiments.Config.ThresholdBits) moves all of a
+// workload's approximable regions at once.
 package device
 
 import (
@@ -23,9 +30,6 @@ type Region struct {
 	Addr         uint64
 	Size         int
 	SafeToApprox bool
-	// ThresholdBytes is the per-region lossy threshold the programmer
-	// passes to the extended cudaMalloc; 0 means use the global default.
-	ThresholdBytes int
 }
 
 // End returns the first address past the region.
@@ -52,18 +56,17 @@ func New() *Device {
 }
 
 // Malloc allocates a block-aligned region, modelling the paper's extended
-// cudaMalloc. thresholdBytes is only meaningful when safeToApprox is set.
-func (d *Device) Malloc(name string, size int, safeToApprox bool, thresholdBytes int) (Region, error) {
+// cudaMalloc without its threshold argument (see the package doc).
+func (d *Device) Malloc(name string, size int, safeToApprox bool) (Region, error) {
 	if size <= 0 {
 		return Region{}, fmt.Errorf("device: allocation %q has size %d", name, size)
 	}
 	aligned := (size + compress.BlockSize - 1) / compress.BlockSize * compress.BlockSize
 	r := Region{
-		Name:           name,
-		Addr:           d.next,
-		Size:           aligned,
-		SafeToApprox:   safeToApprox,
-		ThresholdBytes: thresholdBytes,
+		Name:         name,
+		Addr:         d.next,
+		Size:         aligned,
+		SafeToApprox: safeToApprox,
 	}
 	d.next += uint64(aligned)
 	need := int(d.next - baseAddr)
@@ -201,25 +204,26 @@ func (d *Device) ReadFloats32(r Region, n int) ([]float32, error) {
 }
 
 // F32 is a typed view over a region, the device-side array a kernel indexes.
+// It keeps only the region's base address and length, not the Region: the
+// kernels' inner loops copy the view into every inlined At and Set, so it
+// stays three words.
 type F32 struct {
-	d *Device
-	r Region
+	d    *Device
+	addr uint64
+	n    int
 }
 
 // F32View wraps a region as a float32 array.
-func (d *Device) F32View(r Region) F32 { return F32{d: d, r: r} }
+func (d *Device) F32View(r Region) F32 { return F32{d: d, addr: r.Addr, n: r.Size / 4} }
 
 // Len returns the number of float32 elements.
-func (v F32) Len() int { return v.r.Size / 4 }
+func (v F32) Len() int { return v.n }
 
 // At returns element i.
-func (v F32) At(i int) float32 { return v.d.Float32(v.r.Addr + uint64(i)*4) }
+func (v F32) At(i int) float32 { return v.d.Float32(v.addr + uint64(i)*4) }
 
 // Set writes element i.
-func (v F32) Set(i int, x float32) { v.d.SetFloat32(v.r.Addr+uint64(i)*4, x) }
+func (v F32) Set(i int, x float32) { v.d.SetFloat32(v.addr+uint64(i)*4, x) }
 
 // Addr returns the device address of element i.
-func (v F32) Addr(i int) uint64 { return v.r.Addr + uint64(i)*4 }
-
-// Region returns the backing region.
-func (v F32) Region() Region { return v.r }
+func (v F32) Addr(i int) uint64 { return v.addr + uint64(i)*4 }

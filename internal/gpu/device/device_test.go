@@ -8,7 +8,7 @@ import (
 
 func TestMallocAlignment(t *testing.T) {
 	d := New()
-	r, err := d.Malloc("a", 100, false, 0)
+	r, err := d.Malloc("a", 100, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,32 +18,32 @@ func TestMallocAlignment(t *testing.T) {
 	if r.Size != compress.BlockSize {
 		t.Errorf("size = %d, want rounded to %d", r.Size, compress.BlockSize)
 	}
-	r2, err := d.Malloc("b", 4096, true, 16)
+	r2, err := d.Malloc("b", 4096, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r2.Addr < r.End() {
 		t.Errorf("regions overlap: %#x < %#x", r2.Addr, r.End())
 	}
-	if !r2.SafeToApprox || r2.ThresholdBytes != 16 {
+	if !r2.SafeToApprox {
 		t.Errorf("approx annotation lost: %+v", r2)
 	}
 }
 
 func TestMallocRejectsBadSize(t *testing.T) {
 	d := New()
-	if _, err := d.Malloc("zero", 0, false, 0); err == nil {
+	if _, err := d.Malloc("zero", 0, false); err == nil {
 		t.Error("zero-size allocation accepted")
 	}
-	if _, err := d.Malloc("neg", -8, false, 0); err == nil {
+	if _, err := d.Malloc("neg", -8, false); err == nil {
 		t.Error("negative allocation accepted")
 	}
 }
 
 func TestSafeToApproxClassification(t *testing.T) {
 	d := New()
-	exact, _ := d.Malloc("exact", 1024, false, 0)
-	approx, _ := d.Malloc("approx", 1024, true, 16)
+	exact, _ := d.Malloc("exact", 1024, false)
+	approx, _ := d.Malloc("approx", 1024, true)
 	if d.SafeToApprox(exact.Addr) {
 		t.Error("exact region classified approximable")
 	}
@@ -57,7 +57,7 @@ func TestSafeToApproxClassification(t *testing.T) {
 
 func TestFloatAccessors(t *testing.T) {
 	d := New()
-	r, _ := d.Malloc("f", 1024, false, 0)
+	r, _ := d.Malloc("f", 1024, false)
 	v := d.F32View(r)
 	if v.Len() != 256 {
 		t.Fatalf("len = %d", v.Len())
@@ -73,7 +73,7 @@ func TestFloatAccessors(t *testing.T) {
 
 func TestCopyAndReadFloats(t *testing.T) {
 	d := New()
-	r, _ := d.Malloc("x", 64*4, false, 0)
+	r, _ := d.Malloc("x", 64*4, false)
 	in := make([]float32, 64)
 	for i := range in {
 		in[i] = float32(i) * 0.5
@@ -97,7 +97,7 @@ func TestCopyAndReadFloats(t *testing.T) {
 
 func TestBlockAliasing(t *testing.T) {
 	d := New()
-	r, _ := d.Malloc("blk", 256, false, 0)
+	r, _ := d.Malloc("blk", 256, false)
 	b, err := d.Block(r.Addr + 130) // inside second block
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestBlockAliasing(t *testing.T) {
 
 func TestOutOfRangeAccess(t *testing.T) {
 	d := New()
-	r, _ := d.Malloc("only", 128, false, 0)
+	r, _ := d.Malloc("only", 128, false)
 	if _, err := d.Bytes(r.End(), 1); err == nil {
 		t.Error("read past end accepted")
 	}
@@ -122,8 +122,8 @@ func TestOutOfRangeAccess(t *testing.T) {
 
 func TestRegionOf(t *testing.T) {
 	d := New()
-	a, _ := d.Malloc("a", 128, false, 0)
-	b, _ := d.Malloc("b", 128, true, 8)
+	a, _ := d.Malloc("a", 128, false)
+	b, _ := d.Malloc("b", 128, true)
 	if r, ok := d.RegionOf(a.Addr); !ok || r.Name != "a" {
 		t.Errorf("RegionOf(a) = %+v, %v", r, ok)
 	}
@@ -137,7 +137,7 @@ func TestRegionOf(t *testing.T) {
 
 func TestBlockAddrs(t *testing.T) {
 	d := New()
-	r, _ := d.Malloc("r", 3*compress.BlockSize, false, 0)
+	r, _ := d.Malloc("r", 3*compress.BlockSize, false)
 	var n int
 	r.BlockAddrs(func(addr uint64) {
 		if addr%compress.BlockSize != 0 {
@@ -161,7 +161,7 @@ func TestMallocNeverOverlaps(t *testing.T) {
 	next := func() uint64 { seed ^= seed << 13; seed ^= seed >> 7; seed ^= seed << 17; return seed }
 	for i := 0; i < 200; i++ {
 		size := int(next()%8192) + 1
-		r, err := d.Malloc("r", size, next()%2 == 0, 16)
+		r, err := d.Malloc("r", size, next()%2 == 0)
 		if err != nil {
 			t.Fatal(err)
 		}

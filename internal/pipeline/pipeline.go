@@ -74,14 +74,8 @@ type Pipeline struct {
 	// compression at all.
 	lossless compress.Codec
 	lossy    compress.Codec
-	// lossyFactory, when installed, builds per-threshold codecs so each
-	// region's own lossy threshold (the extended cudaMalloc argument,
-	// paper §IV-C) is honoured.
-	lossyFactory func(thresholdBits int) (compress.Codec, error)
-	perThreshold map[int]compress.Codec
-	blocks       []BlockInfo
-	stats        Stats
-	scratch      []byte
+	blocks   []BlockInfo
+	stats    Stats
 	// workers is the Sync fan-out: how many goroutines compress the blocks
 	// of one region. 1 means serial. shards is the reused per-worker state,
 	// so the Sync steady state performs no per-call allocation.
@@ -101,7 +95,6 @@ func New(dev *device.Device, mag compress.MAG, lossless, lossy compress.Codec) (
 		lossless: lossless,
 		lossy:    lossy,
 		stats:    Stats{AboveMAG: make([]int64, int(mag)+1)},
-		scratch:  make([]byte, compress.BlockSize),
 		workers:  1,
 	}, nil
 }
@@ -110,38 +103,13 @@ func New(dev *device.Device, mag compress.MAG, lossless, lossy compress.Codec) (
 // region. Values below 1 select serial execution. Blocks are independent
 // (each owns its 128 bytes of device memory) and all statistics are sums, so
 // results are identical to serial execution for any worker count; the codecs
-// must be safe for concurrent Compress/Decompress (all codecs in this
-// repository are).
+// must be safe for concurrent SyncBlock calls (all codecs in this repository
+// are).
 func (p *Pipeline) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
 	}
 	p.workers = n
-}
-
-// SetLossyFactory installs per-threshold codec construction. With a factory
-// installed, a safe-to-approximate region whose ThresholdBytes is non-zero
-// gets a lossy codec honouring that threshold instead of the default one.
-func (p *Pipeline) SetLossyFactory(factory func(thresholdBits int) (compress.Codec, error)) {
-	p.lossyFactory = factory
-	p.perThreshold = make(map[int]compress.Codec)
-}
-
-// lossyFor returns the lossy codec for one region.
-func (p *Pipeline) lossyFor(r device.Region) compress.Codec {
-	if p.lossyFactory == nil || r.ThresholdBytes <= 0 {
-		return p.lossy
-	}
-	bits := r.ThresholdBytes * 8
-	if c, ok := p.perThreshold[bits]; ok {
-		return c
-	}
-	c, err := p.lossyFactory(bits)
-	if err != nil {
-		panic(fmt.Sprintf("pipeline: lossy codec for threshold %dB: %v", r.ThresholdBytes, err))
-	}
-	p.perThreshold[bits] = c
-	return c
 }
 
 // Sync pushes every block of the region through the codec, updating burst
@@ -150,10 +118,8 @@ func (p *Pipeline) lossyFor(r device.Region) compress.Codec {
 // the serial steady state allocates nothing per call.
 func (p *Pipeline) Sync(r device.Region) {
 	codec := p.lossless
-	exact := true
 	if r.SafeToApprox && p.lossy != nil {
-		codec = p.lossyFor(r)
-		exact = false
+		codec = p.lossy
 	}
 	if end := int((r.End() + compress.BlockSize - 1) / compress.BlockSize); end > len(p.blocks) {
 		p.blocks = append(p.blocks, make([]BlockInfo, end-len(p.blocks))...)
@@ -166,51 +132,33 @@ func (p *Pipeline) Sync(r device.Region) {
 		return
 	}
 	if p.workers <= 1 {
-		p.syncRange(codec, exact, r, r.Addr, r.End(), p.scratch, &p.stats)
+		p.syncRange(codec, r, r.Addr, r.End(), &p.stats)
 		return
 	}
-	p.syncParallel(codec, exact, r)
+	p.syncParallel(codec, r)
 }
 
 // syncRange compresses the blocks of r in [lo, hi) into their block-table
 // slots. Serial Sync runs it over the whole region; each parallel worker
 // over its own disjoint span, so the workers write the table in place.
-func (p *Pipeline) syncRange(codec compress.Codec, exact bool, r device.Region, lo, hi uint64, scratch []byte, st *Stats) {
+func (p *Pipeline) syncRange(codec compress.Codec, r device.Region, lo, hi uint64, st *Stats) {
 	for addr := lo; addr < hi; addr += compress.BlockSize {
-		p.blocks[addr/compress.BlockSize] = p.compressBlock(codec, exact, r, addr, scratch, st)
+		p.blocks[addr/compress.BlockSize] = p.compressBlock(codec, r, addr, st)
 	}
 }
 
-// compressBlock pushes one block through the codec: it compresses, applies
-// the lossy write-back to device memory, and accumulates st. Serial and
-// parallel Sync share it so their per-block behaviour stays identical.
-//
-// Two fast paths avoid materialising the bitstream, which the sync step
-// never needs: a compress.Syncer codec performs decision, size and in-place
-// write-back in one call, and a lossless (exact) codec with SizeOnly reports
-// its size directly — the fuzz harness pins CompressedBits == Compress().Bits
-// for every non-lossy codec, so the accounting is identical to the slow path.
-func (p *Pipeline) compressBlock(codec compress.Codec, exact bool, r device.Region, addr uint64, scratch []byte, st *Stats) BlockInfo {
+// compressBlock pushes one block through the codec's SyncBlock, which sizes
+// it and applies any lossy write-back to device memory in place, and
+// accumulates st. Serial and parallel Sync share it so their per-block
+// behaviour stays identical. No bitstream is materialised: the sync step
+// needs only the size, and the compress.Codec contract makes SyncBlock's
+// bits, lossy flag and write-back those of Compress and Decompress.
+func (p *Pipeline) compressBlock(codec compress.Codec, r device.Region, addr uint64, st *Stats) BlockInfo {
 	block, err := p.dev.Block(addr)
 	if err != nil {
 		panic(fmt.Sprintf("pipeline: sync %s: %v", r.Name, err))
 	}
-	var bits int
-	var lossy bool
-	if sc, ok := codec.(compress.Syncer); ok {
-		bits, lossy = sc.SyncBlock(block)
-	} else if so, ok := codec.(compress.SizeOnly); ok && exact {
-		bits = so.CompressedBits(block)
-	} else {
-		enc := codec.Compress(block)
-		bits, lossy = enc.Bits, enc.Lossy
-		if enc.Lossy {
-			if err := codec.Decompress(enc, scratch); err != nil {
-				panic(fmt.Sprintf("pipeline: lossy round trip %s@%#x: %v", r.Name, addr, err))
-			}
-			copy(block, scratch)
-		}
-	}
+	bits, lossy := codec.SyncBlock(block)
 	if lossy {
 		st.LossyBlocks++
 	}
@@ -229,14 +177,13 @@ func (p *Pipeline) compressBlock(codec compress.Codec, exact bool, r device.Regi
 }
 
 // syncShard is the private state of one Sync worker: its own Stats (with its
-// own AboveMAG histogram) and scratch buffer, merged deterministically once
-// all workers finish. Shards persist on the Pipeline across Sync calls;
-// reset clears the accumulators while keeping the backing storage, so a warm
-// parallel Sync reuses every worker buffer.
+// own AboveMAG histogram), merged deterministically once all workers finish.
+// Shards persist on the Pipeline across Sync calls; reset clears the
+// accumulators while keeping the backing storage, so a warm parallel Sync
+// reuses every worker buffer.
 type syncShard struct {
-	stats   Stats
-	scratch []byte
-	panicV  interface{}
+	stats  Stats
+	panicV interface{}
 }
 
 // reset prepares a shard for reuse under the given MAG histogram size.
@@ -249,18 +196,15 @@ func (sh *syncShard) reset(magBuckets int) {
 		above[i] = 0
 	}
 	sh.stats = Stats{AboveMAG: above}
-	if sh.scratch == nil {
-		sh.scratch = make([]byte, compress.BlockSize)
-	}
 	sh.panicV = nil
 }
 
 // syncParallel fans the region's blocks across the worker pool. Each worker
-// owns a contiguous address range, a scratch buffer and a Stats shard, and
+// owns a contiguous address range and a Stats shard, and
 // writes its blocks' table slots in place (the ranges are disjoint). The
 // merge after the barrier walks shards in index order, and since every
 // statistic is a sum, the result is bitwise identical to serial execution.
-func (p *Pipeline) syncParallel(codec compress.Codec, exact bool, r device.Region) {
+func (p *Pipeline) syncParallel(codec compress.Codec, r device.Region) {
 	n := r.Blocks()
 	workers := min(p.workers, n)
 	if workers == 0 {
@@ -283,7 +227,7 @@ func (p *Pipeline) syncParallel(codec compress.Codec, exact bool, r device.Regio
 		go func(sh *syncShard) {
 			defer wg.Done()
 			defer func() { sh.panicV = recover() }()
-			p.syncRange(codec, exact, r, lo, hi, sh.scratch, &sh.stats)
+			p.syncRange(codec, r, lo, hi, &sh.stats)
 		}(&shards[wi])
 	}
 	wg.Wait()

@@ -53,7 +53,7 @@ func trainTable(t *testing.T, dev *device.Device, r device.Region) *e2mc.Table {
 
 func TestUncompressedBaseline(t *testing.T) {
 	dev := device.New()
-	r, _ := dev.Malloc("x", 4096, true, 16)
+	r, _ := dev.Malloc("x", 4096, true)
 	p, err := New(dev, compress.MAG32, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +78,8 @@ func TestUnknownBlockDefaultsRaw(t *testing.T) {
 	// BDI stores the zero-filled blocks in one burst, so a synced block is
 	// told apart from the raw default.
 	p, _ = New(dev, compress.MAG32, bdi.Codec{}, nil)
-	unsynced, _ := dev.Malloc("unsynced", 4*compress.BlockSize, false, 0)
-	synced, _ := dev.Malloc("synced", 4*compress.BlockSize, false, 0)
+	unsynced, _ := dev.Malloc("unsynced", 4*compress.BlockSize, false)
+	synced, _ := dev.Malloc("synced", 4*compress.BlockSize, false)
 	p.Sync(synced)
 	synced.BlockAddrs(func(addr uint64) {
 		if b, comp := p.BurstsFor(addr); b != 1 || !comp {
@@ -103,7 +103,7 @@ func TestUnknownBlockDefaultsRaw(t *testing.T) {
 
 func TestLosslessSyncDoesNotMutate(t *testing.T) {
 	dev := device.New()
-	r, _ := dev.Malloc("x", 64*1024, true, 16)
+	r, _ := dev.Malloc("x", 64*1024, true)
 	fill(t, dev, r, 1)
 	before := make([]byte, r.Size)
 	bs, _ := dev.Bytes(r.Addr, r.Size)
@@ -131,8 +131,8 @@ func TestLosslessSyncDoesNotMutate(t *testing.T) {
 
 func TestSLCSyncMutatesOnlyApproxRegions(t *testing.T) {
 	dev := device.New()
-	ra, _ := dev.Malloc("approx", 64*1024, true, 16)
-	re, _ := dev.Malloc("exact", 64*1024, false, 0)
+	ra, _ := dev.Malloc("approx", 64*1024, true)
+	re, _ := dev.Malloc("exact", 64*1024, false)
 	fill(t, dev, ra, 2)
 	fill(t, dev, re, 3)
 	tab := trainTable(t, dev, ra)
@@ -166,7 +166,7 @@ func TestSLCSyncMutatesOnlyApproxRegions(t *testing.T) {
 
 func TestBurstsReflectCompression(t *testing.T) {
 	dev := device.New()
-	r, _ := dev.Malloc("x", 64*1024, true, 16)
+	r, _ := dev.Malloc("x", 64*1024, true)
 	fill(t, dev, r, 4)
 	tab := trainTable(t, dev, r)
 	p, _ := New(dev, compress.MAG32, e2mc.New(tab), nil)
@@ -196,7 +196,7 @@ func TestBurstsReflectCompression(t *testing.T) {
 
 func TestAboveMAGHistogram(t *testing.T) {
 	dev := device.New()
-	r, _ := dev.Malloc("x", 64*1024, true, 16)
+	r, _ := dev.Malloc("x", 64*1024, true)
 	fill(t, dev, r, 5)
 	tab := trainTable(t, dev, r)
 	p, _ := New(dev, compress.MAG32, e2mc.New(tab), nil)
@@ -216,7 +216,7 @@ func TestAboveMAGHistogram(t *testing.T) {
 
 func TestResyncUpdatesBursts(t *testing.T) {
 	dev := device.New()
-	r, _ := dev.Malloc("x", 4096, true, 16)
+	r, _ := dev.Malloc("x", 4096, true)
 	fill(t, dev, r, 6)
 	tab := trainTable(t, dev, r)
 	p, _ := New(dev, compress.MAG32, e2mc.New(tab), nil)
@@ -240,7 +240,7 @@ func TestResyncUpdatesBursts(t *testing.T) {
 func buildSLCPipeline(t *testing.T, seed int64) (*device.Device, device.Region, *Pipeline) {
 	t.Helper()
 	dev := device.New()
-	r, _ := dev.Malloc("x", 256*1024, true, 16)
+	r, _ := dev.Malloc("x", 256*1024, true)
 	fill(t, dev, r, seed)
 	tab := trainTable(t, dev, r)
 	lossy, err := slc.New(tab, slc.DefaultConfig())
@@ -304,7 +304,7 @@ func TestParallelSyncMatchesSerial(t *testing.T) {
 // workers than blocks, and a single-block region.
 func TestParallelSyncSmallRegion(t *testing.T) {
 	dev := device.New()
-	r, _ := dev.Malloc("x", compress.BlockSize, true, 16)
+	r, _ := dev.Malloc("x", compress.BlockSize, true)
 	fill(t, dev, r, 9)
 	tab := trainTable(t, dev, r)
 	p, err := New(dev, compress.MAG32, e2mc.New(tab), nil)
@@ -321,52 +321,5 @@ func TestParallelSyncSmallRegion(t *testing.T) {
 func TestInvalidMAG(t *testing.T) {
 	if _, err := New(device.New(), 24, nil, nil); err == nil {
 		t.Error("invalid MAG accepted")
-	}
-}
-
-func TestPerRegionThresholds(t *testing.T) {
-	dev := device.New()
-	// Two approximable regions with different programmer thresholds: one
-	// conservative (4 B) and one permissive (32 B).
-	tight, _ := dev.Malloc("tight", 64*1024, true, 4)
-	loose, _ := dev.Malloc("loose", 64*1024, true, 32)
-	fill(t, dev, tight, 11)
-	fill(t, dev, loose, 11) // identical data → decisions differ only by threshold
-
-	tr := e2mc.NewTrainer()
-	for _, r := range []device.Region{tight, loose} {
-		r.BlockAddrs(func(addr uint64) {
-			b, _ := dev.Block(addr)
-			tr.Sample(b)
-		})
-	}
-	tab, err := tr.Build(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkLossy := func(bits int) (compress.Codec, error) {
-		return slc.New(tab, slc.Config{MAG: compress.MAG32, ThresholdBits: bits, Variant: slc.OPT})
-	}
-	def, err := mkLossy(16 * 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(dev, compress.MAG32, e2mc.New(tab), def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetLossyFactory(mkLossy)
-
-	p.Sync(tight)
-	lossyTight := p.Stats().LossyBlocks
-	p.Sync(loose)
-	lossyLoose := p.Stats().LossyBlocks - lossyTight
-
-	if lossyTight >= lossyLoose {
-		t.Errorf("tight threshold produced %d lossy blocks, loose %d; want tight < loose",
-			lossyTight, lossyLoose)
-	}
-	if lossyLoose == 0 {
-		t.Error("loose threshold produced no lossy blocks")
 	}
 }

@@ -436,7 +436,7 @@ func (c *Core) Evaluate(ctx context.Context, req *EvaluateRequest) (*EvaluateRes
 		if err := checkGeometry(len(req.Data)); err != nil {
 			return nil, err
 		}
-		reg, err := dev.Malloc("evaluate", len(req.Data), pair.lossy != nil, req.ThresholdBits/8)
+		reg, err := dev.Malloc("evaluate", len(req.Data), pair.lossy != nil)
 		if err != nil {
 			return nil, badRequest("serving: %v", err)
 		}

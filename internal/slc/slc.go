@@ -11,7 +11,6 @@ package slc
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/compress"
 	"repro/internal/compress/e2mc"
@@ -122,27 +121,14 @@ type Decision struct {
 	Node       Node
 }
 
-// DecisionStats accumulates mode-decision statistics across a codec's
-// lifetime; the paper's §III-G sizing of the header len field rests on the
-// observation that at most 16 symbols are ever approximated.
-type DecisionStats struct {
-	Lossless     int64
-	Lossy        int64
-	Uncompressed int64
-	ApproxSyms   int64 // total symbols approximated
-	MaxApprox    int   // largest single-block approximation
-}
-
 // Codec applies SLC on top of a trained E2MC table. It implements
 // compress.Codec; Compress is lossy whenever the decision selects ModeLossy.
-// Compress and Decompress are safe for concurrent use (the parallel pipeline
-// fans blocks of one region across goroutines sharing one codec): the table
-// is read-only and the decision statistics are guarded.
+// Every method is safe for concurrent use (the parallel pipeline fans blocks
+// of one region across goroutines sharing one codec): the codec holds only
+// its configuration and the read-only table.
 type Codec struct {
-	tab     *e2mc.Table
-	cfg     Config
-	statsMu sync.Mutex
-	stats   DecisionStats
+	tab *e2mc.Table
+	cfg Config
 }
 
 // New returns an SLC codec. The table must come from e2mc.Trainer; cfg.MAG
@@ -186,36 +172,10 @@ func wayOf(start, count int) int {
 	return w
 }
 
-// Stats returns the accumulated decision statistics (updated by Compress,
-// not by Decide).
-func (c *Codec) Stats() DecisionStats {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	return c.stats
-}
-
 // Decide runs the SLC mode decision for one block without compressing it.
 func (c *Codec) Decide(block []byte) Decision {
 	syms := compress.Symbols(block)
 	return c.decide(&syms)
-}
-
-// record accumulates one Compress decision.
-func (c *Codec) record(d Decision) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	switch d.Mode {
-	case ModeUncompressed:
-		c.stats.Uncompressed++
-	case ModeLossless:
-		c.stats.Lossless++
-	case ModeLossy:
-		c.stats.Lossy++
-		c.stats.ApproxSyms += int64(d.Node.Count)
-		if d.Node.Count > c.stats.MaxApprox {
-			c.stats.MaxApprox = d.Node.Count
-		}
-	}
 }
 
 func (c *Codec) decide(syms *[compress.SymbolsPerBlock]uint16) Decision {
@@ -279,7 +239,6 @@ func (c *Codec) Compress(block []byte) compress.Encoded {
 	}
 	syms := compress.Symbols(block)
 	d := c.decide(&syms)
-	c.record(d)
 	switch d.Mode {
 	case ModeUncompressed:
 		p := make([]byte, compress.BlockSize)
@@ -292,7 +251,7 @@ func (c *Codec) Compress(block []byte) compress.Encoded {
 	}
 }
 
-// SyncBlock implements compress.Syncer: the decision runs as in Compress and
+// SyncBlock implements compress.Codec: the decision runs as in Compress and
 // a lossy approximation is written straight back into block, but no bitstream
 // is materialised. This is equivalent to Compress followed by Decompress
 // copied over block: non-truncated symbols round-trip exactly through the
@@ -307,7 +266,6 @@ func (c *Codec) SyncBlock(block []byte) (int, bool) {
 	}
 	syms := compress.Symbols(block)
 	d := c.decide(&syms)
-	c.record(d)
 	if d.Mode != ModeLossy {
 		return d.StoredBits, false
 	}

@@ -375,29 +375,3 @@ func TestVariantString(t *testing.T) {
 		}
 	}
 }
-
-func TestDecisionStatsAccumulate(t *testing.T) {
-	tab := testTable(t)
-	c := newCodec(t, tab, OPT)
-	rng := rand.New(rand.NewSource(70))
-	n := 2000
-	for i := 0; i < n; i++ {
-		c.Compress(floatBlock(rng))
-	}
-	st := c.Stats()
-	if st.Lossless+st.Lossy+st.Uncompressed != int64(n) {
-		t.Fatalf("decision counts %+v do not sum to %d", st, n)
-	}
-	if st.Lossy == 0 {
-		t.Fatal("no lossy decisions recorded")
-	}
-	// §III-G: the 4-bit len field suffices because at most 16 symbols are
-	// approximated.
-	if st.MaxApprox > MaxApproxSymbols {
-		t.Fatalf("max approximated symbols %d exceeds header capacity %d",
-			st.MaxApprox, MaxApproxSymbols)
-	}
-	if avg := float64(st.ApproxSyms) / float64(st.Lossy); avg < 1 || avg > 16 {
-		t.Fatalf("avg approximated symbols %.1f implausible", avg)
-	}
-}

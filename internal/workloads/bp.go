@@ -37,27 +37,27 @@ func sigmoid(x float32) float32 {
 // Run implements Workload.
 func (w *bp) Run(ctx *Ctx) ([]float64, error) {
 	nw := w.in * w.hidden
-	x, err := ctx.Dev.Malloc("bp.input", w.in*4, true, 16)
+	x, err := ctx.Dev.Malloc("bp.input", w.in*4, true)
 	if err != nil {
 		return nil, err
 	}
-	w1, err := ctx.Dev.Malloc("bp.w1", nw*4, true, 16)
+	w1, err := ctx.Dev.Malloc("bp.w1", nw*4, true)
 	if err != nil {
 		return nil, err
 	}
-	prev, err := ctx.Dev.Malloc("bp.prev_w", nw*4, true, 16)
+	prev, err := ctx.Dev.Malloc("bp.prev_w", nw*4, true)
 	if err != nil {
 		return nil, err
 	}
-	w2, err := ctx.Dev.Malloc("bp.w2", w.hidden*4, true, 16)
+	w2, err := ctx.Dev.Malloc("bp.w2", w.hidden*4, true)
 	if err != nil {
 		return nil, err
 	}
-	hid, err := ctx.Dev.Malloc("bp.hidden", w.hidden*4, true, 16)
+	hid, err := ctx.Dev.Malloc("bp.hidden", w.hidden*4, true)
 	if err != nil {
 		return nil, err
 	}
-	deltas, err := ctx.Dev.Malloc("bp.delta", w.hidden*4, true, 16)
+	deltas, err := ctx.Dev.Malloc("bp.delta", w.hidden*4, true)
 	if err != nil {
 		return nil, err
 	}

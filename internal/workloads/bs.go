@@ -54,23 +54,23 @@ func (b *bs) Run(ctx *Ctx) ([]float64, error) {
 		riskFree   = 0.02
 		volatility = 0.30
 	)
-	s, err := ctx.Dev.Malloc("bs.S", b.n*4, true, 16)
+	s, err := ctx.Dev.Malloc("bs.S", b.n*4, true)
 	if err != nil {
 		return nil, err
 	}
-	x, err := ctx.Dev.Malloc("bs.X", b.n*4, true, 16)
+	x, err := ctx.Dev.Malloc("bs.X", b.n*4, true)
 	if err != nil {
 		return nil, err
 	}
-	tm, err := ctx.Dev.Malloc("bs.T", b.n*4, true, 16)
+	tm, err := ctx.Dev.Malloc("bs.T", b.n*4, true)
 	if err != nil {
 		return nil, err
 	}
-	call, err := ctx.Dev.Malloc("bs.Call", b.n*4, true, 16)
+	call, err := ctx.Dev.Malloc("bs.Call", b.n*4, true)
 	if err != nil {
 		return nil, err
 	}
-	put, err := ctx.Dev.Malloc("bs.Put", b.n*4, false, 0)
+	put, err := ctx.Dev.Malloc("bs.Put", b.n*4, false)
 	if err != nil {
 		return nil, err
 	}

@@ -52,11 +52,11 @@ func dctBasis() [8][8]float32 {
 // Run implements Workload.
 func (w *dct) Run(ctx *Ctx) ([]float64, error) {
 	n := w.dim * w.dim
-	in, err := ctx.Dev.Malloc("dct.in", n*4, true, 16)
+	in, err := ctx.Dev.Malloc("dct.in", n*4, true)
 	if err != nil {
 		return nil, err
 	}
-	out, err := ctx.Dev.Malloc("dct.out", n*4, true, 16)
+	out, err := ctx.Dev.Malloc("dct.out", n*4, true)
 	if err != nil {
 		return nil, err
 	}

@@ -36,11 +36,11 @@ func (w *fwt) Info() Info {
 
 // Run implements Workload.
 func (w *fwt) Run(ctx *Ctx) ([]float64, error) {
-	a, err := ctx.Dev.Malloc("fwt.a", w.n*4, true, 16)
+	a, err := ctx.Dev.Malloc("fwt.a", w.n*4, true)
 	if err != nil {
 		return nil, err
 	}
-	b, err := ctx.Dev.Malloc("fwt.b", w.n*4, true, 16)
+	b, err := ctx.Dev.Malloc("fwt.b", w.n*4, true)
 	if err != nil {
 		return nil, err
 	}

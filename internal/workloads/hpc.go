@@ -88,11 +88,11 @@ func (w *hpcField) Info() Info {
 
 // Run implements Workload.
 func (w *hpcField) Run(ctx *Ctx) ([]float64, error) {
-	in, err := ctx.Dev.Malloc(w.name+".in", w.n*4, true, 16)
+	in, err := ctx.Dev.Malloc(w.name+".in", w.n*4, true)
 	if err != nil {
 		return nil, err
 	}
-	out, err := ctx.Dev.Malloc(w.name+".out", w.n*4, true, 16)
+	out, err := ctx.Dev.Malloc(w.name+".out", w.n*4, true)
 	if err != nil {
 		return nil, err
 	}

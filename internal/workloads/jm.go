@@ -127,13 +127,13 @@ func (w *jm) Run(ctx *Ctx) ([]float64, error) {
 	names := []string{"jm.a0", "jm.a1", "jm.a2", "jm.b0", "jm.b1", "jm.b2"}
 	var regs [6]device.Region
 	for i, name := range names {
-		r, err := ctx.Dev.Malloc(name, w.n*3*4, true, 16)
+		r, err := ctx.Dev.Malloc(name, w.n*3*4, true)
 		if err != nil {
 			return nil, err
 		}
 		regs[i] = r
 	}
-	out, err := ctx.Dev.Malloc("jm.out", w.n*4, false, 0)
+	out, err := ctx.Dev.Malloc("jm.out", w.n*4, false)
 	if err != nil {
 		return nil, err
 	}

@@ -32,11 +32,11 @@ func (w *nn) Info() Info {
 
 // Run implements Workload.
 func (w *nn) Run(ctx *Ctx) ([]float64, error) {
-	loc, err := ctx.Dev.Malloc("nn.locations", w.n*2*4, true, 16)
+	loc, err := ctx.Dev.Malloc("nn.locations", w.n*2*4, true)
 	if err != nil {
 		return nil, err
 	}
-	dist, err := ctx.Dev.Malloc("nn.distances", w.n*4, true, 16)
+	dist, err := ctx.Dev.Malloc("nn.distances", w.n*4, true)
 	if err != nil {
 		return nil, err
 	}

@@ -58,7 +58,7 @@ func (w *srad) Info() Info {
 func (w *srad) Run(ctx *Ctx) ([]float64, error) {
 	n := w.dim * w.dim
 	alloc := func(name string, elems int) (device.Region, error) {
-		return ctx.Dev.Malloc("srad."+name, elems*4, true, 16)
+		return ctx.Dev.Malloc("srad."+name, elems*4, true)
 	}
 	img, err := alloc("I", n)
 	if err != nil {

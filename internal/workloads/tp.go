@@ -36,11 +36,11 @@ func (w *tp) Info() Info {
 // Run implements Workload.
 func (w *tp) Run(ctx *Ctx) ([]float64, error) {
 	n := w.dim * w.dim
-	in, err := ctx.Dev.Malloc("tp.in", n*4, true, 16)
+	in, err := ctx.Dev.Malloc("tp.in", n*4, true)
 	if err != nil {
 		return nil, err
 	}
-	out, err := ctx.Dev.Malloc("tp.out", n*4, true, 16)
+	out, err := ctx.Dev.Malloc("tp.out", n*4, true)
 	if err != nil {
 		return nil, err
 	}

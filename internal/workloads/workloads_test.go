@@ -232,7 +232,7 @@ func TestSmoothImageProperties(t *testing.T) {
 		t.Fatalf("len = %d", len(levels))
 	}
 	dev := device.New()
-	r, err := dev.Malloc("img", len(levels)*4, false, 16)
+	r, err := dev.Malloc("img", len(levels)*4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +271,8 @@ func TestClusteredCoordsQuantised(t *testing.T) {
 
 func TestEmitStreamShape(t *testing.T) {
 	dev := device.New()
-	a, _ := dev.Malloc("a", 64*compress.BlockSize, false, 0)
-	b, _ := dev.Malloc("b", 64*compress.BlockSize, false, 0)
+	a, _ := dev.Malloc("a", 64*compress.BlockSize, false)
+	b, _ := dev.Malloc("b", 64*compress.BlockSize, false)
 	rec := trace.NewRecorder(func(uint64) (int, bool) { return 4, false })
 	ctx := NewCtx(dev, rec, nil)
 	emitStream(ctx, streamSpec{Name: "k", Reads: []device.Region{a}, Writes: []device.Region{b}, Blocks: 64, Compute: 3})
