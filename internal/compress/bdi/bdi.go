@@ -41,7 +41,10 @@ type geometry struct {
 	delta int // delta size in bytes
 }
 
-var geometries = map[encoding]geometry{
+// geometries holds the split of every base/delta encoding, encB8D1 through
+// encB2D1; the other encodings have the zero geometry. analyze tries them in
+// encoding order, so of two equally small encodings the lower one wins.
+var geometries = [numEncodings]geometry{
 	encB8D1: {8, 1},
 	encB8D2: {8, 2},
 	encB8D4: {8, 4},
@@ -50,7 +53,10 @@ var geometries = map[encoding]geometry{
 	encB2D1: {2, 1},
 }
 
-var encodingNames = map[encoding]string{
+// maxElems is the element count of the finest geometry (2-byte base).
+const maxElems = compress.BlockSize / 2
+
+var encodingNames = [numEncodings]string{
 	encUncompressed: "uncompressed",
 	encZeros:        "zeros",
 	encRep8:         "rep8",
@@ -83,23 +89,18 @@ func fits(v uint64, bytes int) bool {
 	return s >= -lim && s < lim
 }
 
-// elements splits the block into n unsigned values of size bytes.
-func elements(block []byte, size int) []uint64 {
-	n := compress.BlockSize / size
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		switch size {
-		case 2:
-			out[i] = uint64(binary.LittleEndian.Uint16(block[i*2:]))
-		case 4:
-			out[i] = uint64(binary.LittleEndian.Uint32(block[i*4:]))
-		case 8:
-			out[i] = binary.LittleEndian.Uint64(block[i*8:])
-		default:
-			panic("bdi: bad element size")
-		}
+// element reads the i-th unsigned element of the given size from the block.
+//
+//slclint:allocfree
+func element(block []byte, i, size int) uint64 {
+	switch size {
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(block[i*2:]))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(block[i*4:]))
+	default:
+		return binary.LittleEndian.Uint64(block[i*8:])
 	}
-	return out
 }
 
 // signExtend interprets the low `bytes` bytes of v as signed and widens to 64
@@ -110,16 +111,17 @@ func signExtend(v uint64, bytes int) uint64 {
 }
 
 // tryGeometry attempts one base/delta encoding. It returns the chosen base
-// and per-element (useZeroBase, delta) assignments, or ok=false if some
-// element fits neither base. Differences are taken modulo the element width,
-// matching a hardware subtractor of that width.
-func tryGeometry(block []byte, g geometry) (base uint64, mask []bool, deltas []uint64, ok bool) {
-	elems := elements(block, g.base)
-	mask = make([]bool, len(elems))
-	deltas = make([]uint64, len(elems))
+// and fills the first BlockSize/g.base entries of mask (useZeroBase) and
+// deltas, or returns ok=false if some element fits neither base.
+// Differences are taken modulo the element width, matching a hardware
+// subtractor of that width.
+//
+//slclint:allocfree
+func tryGeometry(block []byte, g geometry, mask *[maxElems]bool, deltas *[maxElems]uint64) (base uint64, ok bool) {
 	elemMask := ^uint64(0) >> uint(64-g.base*8)
 	haveBase := false
-	for i, e := range elems {
+	for i := 0; i < compress.BlockSize/g.base; i++ {
+		e := element(block, i, g.base)
 		if es := signExtend(e, g.base); fits(es, g.delta) {
 			mask[i] = true // covered by the implicit zero base
 			deltas[i] = es
@@ -131,14 +133,18 @@ func tryGeometry(block []byte, g geometry) (base uint64, mask []bool, deltas []u
 		}
 		d := signExtend((e-base)&elemMask, g.base)
 		if !fits(d, g.delta) {
-			return 0, nil, nil, false
+			return 0, false
 		}
+		mask[i] = false
 		deltas[i] = d
 	}
-	return base, mask, deltas, true
+	return base, true
 }
 
-// analyze picks the smallest encoding that covers the block.
+// analyze picks the smallest encoding that covers the block, the lowest
+// encoding on a tie.
+//
+//slclint:allocfree
 func analyze(block []byte) (encoding, int) {
 	words := compress.Words(block)
 	allZero := true
@@ -164,12 +170,15 @@ func analyze(block []byte) (encoding, int) {
 	if rep {
 		best, bestBits = encRep8, headerBits+64
 	}
-	for enc, g := range geometries {
+	var mask [maxElems]bool
+	var deltas [maxElems]uint64
+	for enc := encB8D1; enc <= encB2D1; enc++ {
+		g := geometries[enc]
 		bits := g.compressedBits()
 		if bits >= bestBits {
 			continue
 		}
-		if _, _, _, ok := tryGeometry(block, g); ok {
+		if _, ok := tryGeometry(block, g, &mask, &deltas); ok {
 			best, bestBits = enc, bits
 		}
 	}
@@ -177,6 +186,8 @@ func analyze(block []byte) (encoding, int) {
 }
 
 // SyncBlock implements compress.Codec; BDI is lossless.
+//
+//slclint:allocfree
 func (Codec) SyncBlock(block []byte) (int, bool) {
 	_, bits := analyze(block)
 	return bits, false
@@ -202,15 +213,18 @@ func (c Codec) Compress(block []byte) compress.Encoded {
 		w.WriteBits(binary.LittleEndian.Uint64(block), 64)
 	default:
 		g := geometries[enc]
-		base, mask, deltas, ok := tryGeometry(block, g)
+		var mask [maxElems]bool
+		var deltas [maxElems]uint64
+		base, ok := tryGeometry(block, g, &mask, &deltas)
 		if !ok {
 			panic("bdi: analyze/compress disagreement")
 		}
+		n := compress.BlockSize / g.base
 		w.WriteBits(base, g.base*8)
-		for _, m := range mask {
+		for _, m := range mask[:n] {
 			w.WriteBool(m)
 		}
-		for _, d := range deltas {
+		for _, d := range deltas[:n] {
 			w.WriteBits(d, g.delta*8)
 		}
 	}
@@ -256,10 +270,10 @@ func (c Codec) Decompress(e compress.Encoded, dst []byte) error {
 		}
 		return nil
 	}
-	g, ok := geometries[enc]
-	if !ok {
+	if enc >= numEncodings || geometries[enc].base == 0 {
 		return fmt.Errorf("bdi: unknown encoding %d", enc)
 	}
+	g := geometries[enc]
 	base, err := r.ReadBits(g.base * 8)
 	if err != nil {
 		return fmt.Errorf("bdi: base: %w", err)

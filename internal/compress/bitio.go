@@ -19,20 +19,22 @@ func NewBitWriter(sizeHint int) *BitWriter {
 }
 
 // WriteBits appends the n least-significant bits of v, MSB first. n must be
-// in [0, 64].
+// in [0, 64]; the bits of v above n are ignored. Each step fills the free
+// bits of the current byte, up to 8 bits at a time.
 func (w *BitWriter) WriteBits(v uint64, n int) {
 	if n < 0 || n > 64 {
 		panic(fmt.Sprintf("compress: WriteBits width %d out of range", n))
 	}
-	for i := n - 1; i >= 0; i-- {
-		bit := byte(v>>uint(i)) & 1
-		if w.nbit&7 == 0 {
+	for n > 0 {
+		free := 8 - w.nbit&7
+		if free == 8 {
 			w.buf = append(w.buf, 0)
 		}
-		if bit != 0 {
-			w.buf[w.nbit>>3] |= 0x80 >> uint(w.nbit&7)
-		}
-		w.nbit++
+		k := min(free, n)
+		n -= k
+		chunk := byte(v>>uint(n)) & (0xFF >> uint(8-k))
+		w.buf[len(w.buf)-1] |= chunk << uint(free-k)
+		w.nbit += k
 	}
 }
 

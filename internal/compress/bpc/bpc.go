@@ -15,6 +15,7 @@ package bpc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/compress"
 )
@@ -31,52 +32,63 @@ const (
 	planes = 33                     // 32 delta bits + sign plane
 )
 
-// transform produces the base word and the DBX planes.
+// transform produces the base word and the DBX planes. Planes 0–31 are the
+// 32×32 bit-matrix transpose of the deltas' low words (row i holds delta i,
+// row 31 is empty), so plane p collects bit p of every delta; plane 32 is
+// the sign plane, bit 32 of the sign-extended 33-bit deltas.
+//
+//slclint:allocfree
 func transform(w [words]uint32) (base uint32, dbx [planes]uint64) {
 	base = w[0]
-	// Sign-extended 33-bit deltas.
-	var d [deltas]int64
+	var rows [32]uint32
+	var sign uint64
 	for i := 0; i < deltas; i++ {
-		d[i] = int64(int32(w[i+1])) - int64(int32(w[i]))
+		d := int64(int32(w[i+1])) - int64(int32(w[i]))
+		rows[i] = uint32(d)
+		sign |= uint64(d>>63&1) << uint(i)
 	}
-	// DBP: bit-plane transpose. Plane p (0..32) collects bit p of every
-	// delta; plane 32 is the sign plane.
-	var dbp [planes]uint64
-	for p := 0; p < planes; p++ {
-		var row uint64
-		for i := 0; i < deltas; i++ {
-			row |= (uint64(d[i]>>uint(p)) & 1) << uint(i)
-		}
-		dbp[p] = row
-	}
+	transpose32(&rows)
 	// DBX: XOR adjacent planes (plane 32 kept as-is as the reference).
-	dbx[planes-1] = dbp[planes-1]
+	dbx[planes-1] = sign
+	next := sign
 	for p := planes - 2; p >= 0; p-- {
-		dbx[p] = dbp[p] ^ dbp[p+1]
+		dbx[p] = uint64(rows[p]) ^ next
+		next = uint64(rows[p])
 	}
 	return base, dbx
 }
 
-// inverse reverses transform.
-func inverse(base uint32, dbx [planes]uint64) [words]uint32 {
-	var dbp [planes]uint64
-	dbp[planes-1] = dbx[planes-1]
-	for p := planes - 2; p >= 0; p-- {
-		dbp[p] = dbx[p] ^ dbp[p+1]
-	}
-	var d [deltas]int64
-	for i := 0; i < deltas; i++ {
-		var v uint64
-		for p := 0; p < planes; p++ {
-			v |= (dbp[p] >> uint(i) & 1) << uint(p)
+// transpose32 transposes a 32×32 bit matrix in place: bit j of a[i] trades
+// places with bit i of a[j]. Round j swaps the off-diagonal j×j blocks of
+// every 2j×2j block, for j = 16, 8, 4, 2, 1 (Hacker's Delight, §7-3).
+//
+//slclint:allocfree
+func transpose32(a *[32]uint32) {
+	m := uint32(0x0000FFFF)
+	for j := 16; j != 0; j >>= 1 {
+		for k := 0; k < 32; k = (k + j + 1) &^ j {
+			t := (a[k]>>uint(j) ^ a[k+j]) & m
+			a[k] ^= t << uint(j)
+			a[k+j] ^= t
 		}
-		// Sign-extend from 33 bits.
-		d[i] = int64(v<<31) >> 31
+		m ^= m << uint(j>>1)
 	}
+}
+
+// inverse reverses transform. The reconstructed words depend only on the
+// low 32 bits of each delta, so the sign plane serves only to undo DBX.
+func inverse(base uint32, dbx [planes]uint64) [words]uint32 {
+	var rows [32]uint32
+	dbp := dbx[planes-1]
+	for p := planes - 2; p >= 0; p-- {
+		dbp ^= dbx[p]
+		rows[p] = uint32(dbp)
+	}
+	transpose32(&rows)
 	var w [words]uint32
 	w[0] = base
 	for i := 0; i < deltas; i++ {
-		w[i+1] = uint32(int64(int32(w[i])) + d[i])
+		w[i+1] = w[i] + rows[i]
 	}
 	return w
 }
@@ -94,9 +106,13 @@ const (
 	cRaw     = 0b00011 // 5 + 31 bits raw plane
 )
 
-// encodePlane writes one plane (or a zero-run) and returns how many planes
-// it consumed.
-func encodePlanes(w *compress.BitWriter, dbx []uint64, i int) int {
+// encodePlanes codes one plane (or a zero run) starting at dbx[i] and
+// returns how many planes it consumed and how many bits its code takes. With
+// w == nil only the size is accounted; otherwise the code is written. Both
+// paths share the walk, so SyncBlock always agrees with Compress.
+//
+//slclint:allocfree
+func encodePlanes(w *compress.BitWriter, dbx []uint64, i int) (n, size int) {
 	p := dbx[i]
 	if p == 0 {
 		run := 1
@@ -104,53 +120,69 @@ func encodePlanes(w *compress.BitWriter, dbx []uint64, i int) int {
 			run++
 		}
 		if run >= 2 {
-			w.WriteBits(cZeroRun, 2)
-			w.WriteBits(uint64(run-2), 5)
-			return run
+			if w != nil {
+				w.WriteBits(cZeroRun, 2)
+				w.WriteBits(uint64(run-2), 5)
+			}
+			return run, 2 + 5
 		}
-		w.WriteBits(cZero, 1)
-		return 1
+		if w != nil {
+			w.WriteBits(cZero, 1)
+		}
+		return 1, 1
 	}
 	mask := uint64(1)<<deltas - 1
-	switch {
+	switch ones := bits.OnesCount64(p); {
 	case p == mask:
-		w.WriteBits(cAllOnes, 5)
-	case popcount(p) == 1:
-		w.WriteBits(cOneBit, 5)
-		w.WriteBits(uint64(trailing(p)), 5)
-	case popcount(p) == 2:
-		w.WriteBits(cTwoBits, 5)
-		first := trailing(p)
-		w.WriteBits(uint64(first), 5)
-		w.WriteBits(uint64(trailing(p&^(1<<uint(first)))), 5)
+		if w != nil {
+			w.WriteBits(cAllOnes, 5)
+		}
+		return 1, 5
+	case ones == 1:
+		if w != nil {
+			w.WriteBits(cOneBit, 5)
+			w.WriteBits(uint64(bits.TrailingZeros64(p)), 5)
+		}
+		return 1, 5 + 5
+	case ones == 2:
+		if w != nil {
+			w.WriteBits(cTwoBits, 5)
+			w.WriteBits(uint64(bits.TrailingZeros64(p)), 5)
+			w.WriteBits(uint64(63-bits.LeadingZeros64(p)), 5)
+		}
+		return 1, 5 + 10
 	default:
-		w.WriteBits(cRaw, 5)
-		w.WriteBits(p, deltas)
+		if w != nil {
+			w.WriteBits(cRaw, 5)
+			w.WriteBits(p, deltas)
+		}
+		return 1, 5 + deltas
 	}
-	return 1
 }
 
-func popcount(v uint64) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
+// encode codes a transformed block, base word first, and returns its size in
+// bits; w is as for encodePlanes.
+//
+//slclint:allocfree
+func encode(w *compress.BitWriter, base uint32, dbx *[planes]uint64) int {
+	if w != nil {
+		w.WriteBits(uint64(base), 32)
 	}
-	return n
-}
-
-func trailing(v uint64) int {
-	n := 0
-	for v&1 == 0 {
-		v >>= 1
-		n++
+	size := 32
+	for i := 0; i < planes; {
+		n, nbits := encodePlanes(w, dbx[:], i)
+		i += n
+		size += nbits
 	}
-	return n
+	return size
 }
 
 // SyncBlock implements compress.Codec; BPC is lossless.
-func (c Codec) SyncBlock(block []byte) (int, bool) {
-	return c.Compress(block).Bits, false
+//
+//slclint:allocfree
+func (Codec) SyncBlock(block []byte) (int, bool) {
+	base, dbx := transform(compress.Words(block))
+	return min(encode(nil, base, &dbx), compress.BlockBits), false
 }
 
 // Compress implements compress.Codec.
@@ -160,11 +192,7 @@ func (c Codec) Compress(block []byte) compress.Encoded {
 	}
 	base, dbx := transform(compress.Words(block))
 	w := compress.NewBitWriter(compress.BlockBits)
-	w.WriteBits(uint64(base), 32)
-	for i := 0; i < planes; {
-		i += encodePlanes(w, dbx[:], i)
-	}
-	if w.Len() >= compress.BlockBits {
+	if size := encode(w, base, &dbx); size >= compress.BlockBits {
 		p := make([]byte, compress.BlockSize)
 		copy(p, block)
 		return compress.Encoded{Bits: compress.BlockBits, Payload: p}

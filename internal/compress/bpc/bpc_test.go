@@ -40,6 +40,33 @@ func TestTransformInverse(t *testing.T) {
 	}
 }
 
+// TestTransformMatchesBitLoop checks the transposed planes against the
+// definition, one bit at a time: plane p (0..32) collects bit p of every
+// sign-extended 33-bit delta, and adjacent planes are XORed.
+func TestTransformMatchesBitLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 200; trial++ {
+		var w [words]uint32
+		for i := range w {
+			w[i] = rng.Uint32() >> uint(rng.Intn(32))
+		}
+		var dbp [planes]uint64
+		for p := range dbp {
+			for i := 0; i < deltas; i++ {
+				d := int64(int32(w[i+1])) - int64(int32(w[i]))
+				dbp[p] |= uint64(d>>uint(p)&1) << uint(i)
+			}
+		}
+		want := dbp
+		for p := 0; p < planes-1; p++ {
+			want[p] = dbp[p] ^ dbp[p+1]
+		}
+		if base, got := transform(w); base != w[0] || got != want {
+			t.Fatalf("trial %d: transform planes %x, bit loop %x", trial, got, want)
+		}
+	}
+}
+
 func TestZeroBlock(t *testing.T) {
 	block := make([]byte, compress.BlockSize)
 	enc := roundTrip(t, block)

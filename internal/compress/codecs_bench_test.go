@@ -84,6 +84,24 @@ func BenchmarkE2MC(b *testing.B) {
 	benchCodec(b, e2mc.New(tab))
 }
 
+// BenchmarkSyncBlock measures every registered codec's SyncBlock, the
+// per-block sizing step of pipeline.Sync, over the mixed corpus, with
+// entropy tables trained on it.
+func BenchmarkSyncBlock(b *testing.B) {
+	blocks := benchBlocks(256)
+	buf := make([]byte, compress.BlockSize)
+	for _, name := range compress.Names() {
+		c := buildCorpusCodec(b, name, blocks)
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(compress.BlockSize)
+			for i := 0; i < b.N; i++ {
+				copy(buf, blocks[i%len(blocks)]) // lossy codecs write back
+				c.SyncBlock(buf)
+			}
+		})
+	}
+}
+
 // benchSync measures pipeline.Sync — the hot path of every evaluation cell —
 // over a 4 MiB approximable region under the full SLC stack (E2MC lossless
 // plus TSLC-OPT lossy with write-back), at the given worker count. Compare

@@ -181,6 +181,44 @@ func TestBitIOQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// bitAtATime is the reference writer: one bit per step, MSB first.
+type bitAtATime struct {
+	buf  []byte
+	nbit int
+}
+
+func (w *bitAtATime) WriteBits(v uint64, n int) {
+	for i := n - 1; i >= 0; i-- {
+		if w.nbit&7 == 0 {
+			w.buf = append(w.buf, 0)
+		}
+		if v>>uint(i)&1 != 0 {
+			w.buf[w.nbit>>3] |= 0x80 >> uint(w.nbit&7)
+		}
+		w.nbit++
+	}
+}
+
+// TestBitWriterMatchesBitAtATime checks the byte-filling WriteBits against
+// the reference over random (v, n ∈ [0, 64]) sequences, with junk above bit
+// n of v, which both must ignore.
+func TestBitWriterMatchesBitAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for seq := 0; seq < 200; seq++ {
+		w := NewBitWriter(0)
+		var ref bitAtATime
+		for i := rng.Intn(40); i >= 0; i-- {
+			v, n := rng.Uint64(), rng.Intn(65)
+			w.WriteBits(v, n)
+			ref.WriteBits(v, n)
+		}
+		if w.Len() != ref.nbit || !bytes.Equal(w.Bytes(), ref.buf) {
+			t.Fatalf("sequence %d: %d bits %x, reference %d bits %x",
+				seq, w.Len(), w.Bytes(), ref.nbit, ref.buf)
+		}
+	}
+}
+
 func TestBitReaderExhaustion(t *testing.T) {
 	r := NewBitReader([]byte{0xFF})
 	if _, err := r.ReadBits(9); err == nil {

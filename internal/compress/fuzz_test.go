@@ -96,7 +96,7 @@ func buildCodec(tb testing.TB, name string, block []byte) compress.Codec {
 }
 
 // checkRoundTrip compresses and decompresses one block through one codec
-// and asserts the family's round-trip contract.
+// and asserts the family's round-trip contract and a deterministic encoding.
 func checkRoundTrip(t *testing.T, name string, block []byte) {
 	t.Helper()
 	c := buildCodec(t, name, block)
@@ -107,6 +107,7 @@ func checkRoundTrip(t *testing.T, name string, block []byte) {
 	if len(enc.Payload) < enc.Bytes() {
 		t.Fatalf("%s: payload %d bytes shorter than encoded size %d bytes", name, len(enc.Payload), enc.Bytes())
 	}
+	checkDeterministic(t, name, c, block, enc)
 	dst := make([]byte, compress.BlockSize)
 	if err := c.Decompress(enc, dst); err != nil {
 		t.Fatalf("%s: decompress own output: %v", name, err)
@@ -153,6 +154,16 @@ func checkRoundTrip(t *testing.T, name string, block []byte) {
 	}
 }
 
+// checkDeterministic asserts that compressing the block again gives the
+// same Encoded as enc, so no codec's output follows map iteration order.
+func checkDeterministic(t *testing.T, name string, c compress.Codec, block []byte, enc compress.Encoded) {
+	t.Helper()
+	again := c.Compress(block)
+	if again.Bits != enc.Bits || again.Lossy != enc.Lossy || !bytes.Equal(again.Payload, enc.Payload) {
+		t.Fatalf("%s: two encodes of the same block differ", name)
+	}
+}
+
 // checkSyncBlock asserts the compress.Codec SyncBlock contract on one block,
 // given the codec's own Compress output enc and its Decompress output dst:
 // the same bits and lossy flag, the Decompress output written back when
@@ -191,6 +202,7 @@ func addSeeds(f *testing.F) {
 		ramp[i] = byte(i)
 	}
 	f.Add(ramp)
+	f.Add(tieBlock()) // two equally small BDI encodings
 	// k high-entropy words followed by zeros, for k sweeping the block: the
 	// per-word costs walk the compressed size through the 1024-bit boundary
 	// for the word codecs, and give the entropy codecs skewed tables with a
@@ -268,10 +280,7 @@ func checkBoundedRoundTrip(t *testing.T, name string, bound float64, block []byt
 	if len(enc.Payload) < enc.Bytes() {
 		t.Fatalf("%s: payload %d bytes shorter than encoded size %d bytes", name, len(enc.Payload), enc.Bytes())
 	}
-	enc2 := c.Compress(block)
-	if enc2.Bits != enc.Bits || enc2.Lossy != enc.Lossy || !bytes.Equal(enc2.Payload, enc.Payload) {
-		t.Fatalf("%s: two encodes of the same block differ", name)
-	}
+	checkDeterministic(t, name, c, block, enc)
 	dst := make([]byte, compress.BlockSize)
 	if err := c.Decompress(enc, dst); err != nil {
 		t.Fatalf("%s: decompress own output: %v", name, err)

@@ -11,6 +11,8 @@ package hycomp
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/compress"
 	"repro/internal/compress/bdi"
@@ -47,36 +49,66 @@ func (c *Codec) Name() string { return "HYCOMP" }
 // classify predicts the block's dominant type with HyComp-style heuristics:
 // pointers share their top bytes as 64-bit elements, floats from one array
 // share sign+exponent bytes, everything else is treated as integer data.
+// Both tests count distinct values without a map: the pointer test keeps
+// the first three distinct top words it meets (three already fail it), the
+// float test sets one bit per top byte in a 256-bit set.
+//
+//slclint:allocfree
 func classify(block []byte) int {
-	// Pointer heuristic: 64-bit elements whose top 4 bytes cluster on a
-	// non-zero base.
-	top := map[uint32]struct{}{}
+	// Pointer heuristic: 64-bit elements whose top 4 bytes cluster on at
+	// most two values, not all of them zero.
+	var top [3]uint32
+	distinct := 0
 	allZeroTop := true
-	for i := 0; i < compress.BlockSize; i += 8 {
+	for i := 0; i < compress.BlockSize && distinct < len(top); i += 8 {
 		t := uint32(binary.LittleEndian.Uint64(block[i:]) >> 32)
-		top[t] = struct{}{}
 		if t != 0 {
 			allZeroTop = false
 		}
+		if !slices.Contains(top[:distinct], t) {
+			top[distinct] = t
+			distinct++
+		}
 	}
-	if len(top) <= 2 && !allZeroTop {
+	if distinct <= 2 && !allZeroTop {
 		return tagBDI
 	}
 	// Float heuristic: few distinct sign+exponent bytes across the 32-bit
 	// words.
-	hi := map[byte]struct{}{}
+	var hi [4]uint64
 	for _, w := range compress.Words(block) {
-		hi[byte(w>>24)] = struct{}{}
+		b := w >> 24
+		hi[b>>6] |= 1 << (b & 63)
 	}
-	if len(hi) <= 6 {
+	n := 0
+	for _, h := range hi {
+		n += bits.OnesCount64(h)
+	}
+	if n <= 6 {
 		return tagEntropy
 	}
 	return tagFPC
 }
 
-// SyncBlock implements compress.Codec; HyComp is lossless.
+// SyncBlock implements compress.Codec; HyComp is lossless. It sizes the
+// block with the chosen method's SyncBlock and applies Compress's rule: an
+// 8-bit header in front, or the raw block when that is no smaller.
+//
+//slclint:allocfree
 func (c *Codec) SyncBlock(block []byte) (int, bool) {
-	return c.Compress(block).Bits, false
+	var inner int
+	switch classify(block) {
+	case tagBDI:
+		inner, _ = c.bdi.SyncBlock(block)
+	case tagFPC:
+		inner, _ = c.fpc.SyncBlock(block)
+	default:
+		inner, _ = c.ent.SyncBlock(block)
+	}
+	if inner+8 >= compress.BlockBits {
+		return compress.BlockBits, false
+	}
+	return 8 + inner, false
 }
 
 // Compress implements compress.Codec: classify, dispatch, tag.
