@@ -279,8 +279,8 @@ func (c Codec) Decompress(e compress.Encoded, dst []byte) error {
 		return fmt.Errorf("bdi: base: %w", err)
 	}
 	n := compress.BlockSize / g.base
-	mask := make([]bool, n)
-	for i := range mask {
+	var mask [maxElems]bool
+	for i := range mask[:n] {
 		mask[i], err = r.ReadBool()
 		if err != nil {
 			return fmt.Errorf("bdi: mask bit %d: %w", i, err)

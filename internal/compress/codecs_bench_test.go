@@ -8,10 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/compress"
-	"repro/internal/compress/bdi"
-	"repro/internal/compress/cpack"
 	"repro/internal/compress/e2mc"
-	"repro/internal/compress/fpc"
 	"repro/internal/gpu/device"
 	"repro/internal/pipeline"
 	"repro/internal/slc"
@@ -48,40 +45,33 @@ func benchBlocks(n int) [][]byte {
 	return blocks
 }
 
-func benchCodec(b *testing.B, c compress.Codec) {
+// BenchmarkCodec measures every registered codec's Compress and Decompress
+// over the mixed corpus, with entropy tables trained on it. Decompress reads
+// encodings made before the timer starts.
+func BenchmarkCodec(b *testing.B) {
 	blocks := benchBlocks(256)
 	dst := make([]byte, compress.BlockSize)
-	b.Run("Compress", func(b *testing.B) {
-		b.SetBytes(compress.BlockSize)
-		for i := 0; i < b.N; i++ {
-			c.Compress(blocks[i%len(blocks)])
+	for _, name := range compress.Names() {
+		c := buildCorpusCodec(b, name, blocks)
+		encs := make([]compress.Encoded, len(blocks))
+		for i, blk := range blocks {
+			encs[i] = c.Compress(blk)
 		}
-	})
-	b.Run("RoundTrip", func(b *testing.B) {
-		b.SetBytes(compress.BlockSize)
-		for i := 0; i < b.N; i++ {
-			enc := c.Compress(blocks[i%len(blocks)])
-			if err := c.Decompress(enc, dst); err != nil {
-				b.Fatal(err)
+		b.Run(name+"/Compress", func(b *testing.B) {
+			b.SetBytes(compress.BlockSize)
+			for i := 0; i < b.N; i++ {
+				c.Compress(blocks[i%len(blocks)])
 			}
-		}
-	})
-}
-
-func BenchmarkBDI(b *testing.B)   { benchCodec(b, bdi.Codec{}) }
-func BenchmarkFPC(b *testing.B)   { benchCodec(b, fpc.Codec{}) }
-func BenchmarkCPACK(b *testing.B) { benchCodec(b, cpack.Codec{}) }
-
-func BenchmarkE2MC(b *testing.B) {
-	tr := e2mc.NewTrainer()
-	for _, blk := range benchBlocks(512) {
-		tr.Sample(blk)
+		})
+		b.Run(name+"/Decompress", func(b *testing.B) {
+			b.SetBytes(compress.BlockSize)
+			for i := 0; i < b.N; i++ {
+				if err := c.Decompress(encs[i%len(encs)], dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	tab, err := tr.Build(0, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchCodec(b, e2mc.New(tab))
 }
 
 // BenchmarkSyncBlock measures every registered codec's SyncBlock, the

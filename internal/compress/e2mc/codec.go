@@ -2,7 +2,6 @@ package e2mc
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/compress"
 )
@@ -51,22 +50,13 @@ func waySpan(way int) (int, int) {
 
 // EncodeWays entropy-codes the block's symbols into PDWs byte-aligned
 // bitstreams, omitting symbols in [skipStart, skipStart+skipLen) — the span
-// SLC truncates (skipLen 0 encodes everything). It returns the way payloads,
-// their sizes in bits before byte padding, and the gap-array checkpoints: the
-// bit offset within each way at every gapK-th in-way symbol boundary
-// (counting skipped symbols, whose offset simply does not advance).
-func (t *Table) EncodeWays(syms [compress.SymbolsPerBlock]uint16, skipStart, skipLen int) (ways [PDWs][]byte, wayBits [PDWs]int, gaps GapArray) {
-	gapK := t.gapK
-	if gapK == 0 {
-		gapK = DefaultGapK
-	}
+// SLC truncates (skipLen 0 encodes everything). It returns the way payloads
+// and their sizes in bits before byte padding.
+func (t *Table) EncodeWays(syms [compress.SymbolsPerBlock]uint16, skipStart, skipLen int) (ways [PDWs][]byte, wayBits [PDWs]int) {
 	for wy := 0; wy < PDWs; wy++ {
 		lo, hi := waySpan(wy)
 		w := compress.NewBitWriter(SymbolsPerWay * 8)
 		for i := lo; i < hi; i++ {
-			if j := i - lo; j > 0 && j%gapK == 0 {
-				gaps[wy*MaxGapsPerWay+j/gapK-1] = uint16(w.Len())
-			}
 			if i >= skipStart && i < skipStart+skipLen {
 				continue
 			}
@@ -76,7 +66,7 @@ func (t *Table) EncodeWays(syms [compress.SymbolsPerBlock]uint16, skipStart, ski
 		w.AlignByte()
 		ways[wy] = w.Bytes()
 	}
-	return ways, wayBits, gaps
+	return ways, wayBits
 }
 
 // decodeSpan LUT-decodes the symbols with absolute index [lo, hi) from r
@@ -115,16 +105,12 @@ func (t *Table) decodeSpan(r *compress.BitReader, lo, hi, skipStart, skipLen int
 	return nil
 }
 
-// DecodeWays reverses EncodeWays through the LUT fast path (falling back to
-// the reference decoder for tables too long-coded for a LUT). wayStart holds
-// the absolute byte offset of each way within payload; symbols inside the
-// skip span are left as zero for the caller (SLC) to fill by prediction.
+// DecodeWays reverses EncodeWays through the LUT. wayStart holds the
+// absolute byte offset of each way within payload; symbols inside the skip
+// span are left as zero for the caller (SLC) to fill by prediction.
 //
 //slclint:allocfree
 func (t *Table) DecodeWays(payload []byte, wayStart [PDWs]int, skipStart, skipLen int) ([compress.SymbolsPerBlock]uint16, error) {
-	if t.lut == nil {
-		return t.DecodeWaysRef(payload, wayStart, skipStart, skipLen)
-	}
 	var syms [compress.SymbolsPerBlock]uint16
 	var r compress.BitReader
 	for wy := 0; wy < PDWs; wy++ {
@@ -140,9 +126,10 @@ func (t *Table) DecodeWays(payload []byte, wayStart [PDWs]int, skipStart, skipLe
 	return syms, nil
 }
 
-// DecodeWaysRef is the retained bit-by-bit reference decoder. The LUT and
-// gap-array paths must produce bitwise-identical output (and must error
-// whenever it errors); FuzzDecodeLUT cross-checks all three.
+// DecodeWaysRef is the retained bit-by-bit reference decoder. No codec calls
+// it: it exists so TestDecodeWaysLUTMatchesReference and FuzzDecodeLUT can
+// require DecodeWays to produce bitwise-identical output (and to error
+// whenever it errors).
 func (t *Table) DecodeWaysRef(payload []byte, wayStart [PDWs]int, skipStart, skipLen int) ([compress.SymbolsPerBlock]uint16, error) {
 	var syms [compress.SymbolsPerBlock]uint16
 	for wy := 0; wy < PDWs; wy++ {
@@ -160,57 +147,6 @@ func (t *Table) DecodeWaysRef(payload []byte, wayStart [PDWs]int, skipStart, ski
 				return syms, fmt.Errorf("e2mc: way %d symbol %d: %w", wy, i, err)
 			}
 			syms[i] = s
-		}
-	}
-	return syms, nil
-}
-
-// DecodeWaysParallel decodes one block's ways concurrently: the gap array
-// splits each way into segments of gapK symbols, and every (way, segment)
-// chunk decodes on its own goroutine into a disjoint index range of the
-// shared output. Output and errors are merged deterministically in chunk
-// order, so the result — values and error — is bitwise-identical to the
-// serial DecodeWays.
-func (t *Table) DecodeWaysParallel(payload []byte, wayStart [PDWs]int, skipStart, skipLen int, gaps *GapArray) ([compress.SymbolsPerBlock]uint16, error) {
-	var syms [compress.SymbolsPerBlock]uint16
-	if t.lut == nil {
-		return t.DecodeWaysRef(payload, wayStart, skipStart, skipLen)
-	}
-	gapK := t.gapK
-	if gapK == 0 {
-		gapK = DefaultGapK
-	}
-	segs := SymbolsPerWay / gapK
-	for wy := 0; wy < PDWs; wy++ {
-		if wayStart[wy] < 0 || wayStart[wy] > len(payload) {
-			return syms, fmt.Errorf("e2mc: way %d starts at byte %d outside payload (%d bytes)", wy, wayStart[wy], len(payload))
-		}
-	}
-	var errs [PDWs * SymbolsPerWay / DefaultGapK]error
-	var wg sync.WaitGroup
-	for wy := 0; wy < PDWs; wy++ {
-		way := payload[wayStart[wy]:]
-		lo, _ := waySpan(wy)
-		for s := 0; s < segs; s++ {
-			wg.Add(1)
-			go func(wy, s int) {
-				defer wg.Done()
-				var r compress.BitReader
-				r.Reset(way)
-				if s > 0 {
-					r.SkipBits(int(gaps[wy*MaxGapsPerWay+s-1]))
-				}
-				err := t.decodeSpan(&r, lo+s*gapK, lo+(s+1)*gapK, skipStart, skipLen, &syms)
-				if err != nil {
-					errs[wy*segs+s] = fmt.Errorf("e2mc: way %d: %w", wy, err)
-				}
-			}(wy, s)
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return syms, err
 		}
 	}
 	return syms, nil
@@ -248,25 +184,16 @@ func (c *Codec) SyncBlock(block []byte) (int, bool) {
 // Compress implements compress.Codec. Blocks that do not compress below the
 // uncompressed size are stored raw with no header.
 func (c *Codec) Compress(block []byte) compress.Encoded {
-	e, _ := c.CompressWithGaps(block)
-	return e
-}
-
-// CompressWithGaps compresses the block and also returns the sideband gap
-// array for DecompressParallel. The gap array is index metadata beside the
-// payload; it is never counted in Encoded.Bits, so compression figures are
-// unchanged. Raw-stored blocks return a zero gap array.
-func (c *Codec) CompressWithGaps(block []byte) (compress.Encoded, GapArray) {
 	if err := compress.CheckBlock(block); err != nil {
 		panic(err)
 	}
 	syms := compress.Symbols(block)
-	ways, wayBits, gaps := c.tab.EncodeWays(syms, 0, 0)
+	ways, wayBits := c.tab.EncodeWays(syms, 0, 0)
 	total := HeaderBits/8 + payloadBytes(wayBits)
 	if total*8 >= compress.BlockBits {
 		p := make([]byte, compress.BlockSize)
 		copy(p, block)
-		return compress.Encoded{Bits: compress.BlockBits, Payload: p}, GapArray{}
+		return compress.Encoded{Bits: compress.BlockBits, Payload: p}
 	}
 	w := compress.NewBitWriter(total * 8)
 	off := HeaderBits / 8
@@ -283,7 +210,7 @@ func (c *Codec) CompressWithGaps(block []byte) (compress.Encoded, GapArray) {
 	for wy := 0; wy < PDWs; wy++ {
 		buf = append(buf, ways[wy]...)
 	}
-	return compress.Encoded{Bits: total * 8, Payload: buf}, gaps
+	return compress.Encoded{Bits: total * 8, Payload: buf}
 }
 
 // parseHeader reads the parallel decoding pointers of a compressed block.
@@ -321,32 +248,6 @@ func (c *Codec) Decompress(e compress.Encoded, dst []byte) error {
 		return nil
 	}
 	syms, err := c.tab.DecodeWays(e.Payload, starts, 0, 0)
-	if err != nil {
-		return err
-	}
-	compress.PutSymbols(dst, syms)
-	return nil
-}
-
-// DecompressParallel decompresses a block produced by CompressWithGaps,
-// fanning the gap-array chunks across goroutines. The output is
-// bitwise-identical to Decompress on the same block.
-func (c *Codec) DecompressParallel(e compress.Encoded, gaps *GapArray, dst []byte) error {
-	if len(dst) < compress.BlockSize {
-		return fmt.Errorf("e2mc: dst too small (%d bytes)", len(dst))
-	}
-	starts, raw, err := parseHeader(e)
-	if err != nil {
-		return err
-	}
-	if raw {
-		if len(e.Payload) < compress.BlockSize {
-			return fmt.Errorf("e2mc: raw payload too short")
-		}
-		copy(dst, e.Payload[:compress.BlockSize])
-		return nil
-	}
-	syms, err := c.tab.DecodeWaysParallel(e.Payload, starts, 0, 0, gaps)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package e2mc
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -37,9 +36,6 @@ func decodeTestTable(t *testing.T) *Table {
 
 func TestDecodeWaysLUTMatchesReference(t *testing.T) {
 	tab := decodeTestTable(t)
-	if tab.lut == nil {
-		t.Fatal("default table should have a decode LUT")
-	}
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
 		block := smoothFloatBlock(rng)
@@ -52,7 +48,7 @@ func TestDecodeWaysLUTMatchesReference(t *testing.T) {
 			skipLen = 1 + rng.Intn(MaxApproxSpanForTest())
 			skipStart = rng.Intn(compress.SymbolsPerBlock - skipLen)
 		}
-		ways, _, _ := tab.EncodeWays(syms, skipStart, skipLen)
+		ways, _ := tab.EncodeWays(syms, skipStart, skipLen)
 		payload, starts := buildPayload(ways)
 		ref, refErr := tab.DecodeWaysRef(payload, starts, skipStart, skipLen)
 		lut, lutErr := tab.DecodeWays(payload, starts, skipStart, skipLen)
@@ -69,66 +65,6 @@ func TestDecodeWaysLUTMatchesReference(t *testing.T) {
 // SLC's 16-symbol maximum.
 func MaxApproxSpanForTest() int { return 16 }
 
-func TestDecodeWaysParallelMatchesSerial(t *testing.T) {
-	tab := decodeTestTable(t)
-	rng := rand.New(rand.NewSource(43))
-	for _, gapK := range []int{4, 8, 16} {
-		if err := tab.SetGapK(gapK); err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 100; trial++ {
-			block := smoothFloatBlock(rng)
-			if trial%3 == 0 {
-				rng.Read(block)
-			}
-			syms := compress.Symbols(block)
-			ways, _, gaps := tab.EncodeWays(syms, 0, 0)
-			payload, starts := buildPayload(ways)
-			serial, err := tab.DecodeWays(payload, starts, 0, 0)
-			if err != nil {
-				t.Fatalf("gapK %d trial %d: serial: %v", gapK, trial, err)
-			}
-			par, err := tab.DecodeWaysParallel(payload, starts, 0, 0, &gaps)
-			if err != nil {
-				t.Fatalf("gapK %d trial %d: parallel: %v", gapK, trial, err)
-			}
-			if par != serial {
-				t.Fatalf("gapK %d trial %d: parallel decode diverges from serial", gapK, trial)
-			}
-		}
-	}
-	if err := tab.SetGapK(DefaultGapK); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecompressParallelMatchesDecompress(t *testing.T) {
-	tab := decodeTestTable(t)
-	c := New(tab)
-	rng := rand.New(rand.NewSource(44))
-	serial := make([]byte, compress.BlockSize)
-	par := make([]byte, compress.BlockSize)
-	for trial := 0; trial < 200; trial++ {
-		block := smoothFloatBlock(rng)
-		if trial%5 == 0 {
-			rng.Read(block) // exercises the raw-stored path too
-		}
-		enc, gaps := c.CompressWithGaps(block)
-		if err := c.Decompress(enc, serial); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := c.DecompressParallel(enc, &gaps, par); err != nil {
-			t.Fatalf("trial %d: parallel: %v", trial, err)
-		}
-		if !bytes.Equal(par, serial) {
-			t.Fatalf("trial %d: parallel decompress diverges", trial)
-		}
-		if !bytes.Equal(serial, block) {
-			t.Fatalf("trial %d: round trip mismatch", trial)
-		}
-	}
-}
-
 func TestDecodeWaysRejectsBadWayStart(t *testing.T) {
 	tab := decodeTestTable(t)
 	payload := make([]byte, 16)
@@ -142,9 +78,6 @@ func TestDecodeWaysRejectsBadWayStart(t *testing.T) {
 		if _, err := tab.DecodeWaysRef(payload, starts, 0, 0); err == nil {
 			t.Errorf("starts %v: reference decode accepted bad way start", starts)
 		}
-		if _, err := tab.DecodeWaysParallel(payload, starts, 0, 0, &GapArray{}); err == nil {
-			t.Errorf("starts %v: parallel decode accepted bad way start", starts)
-		}
 	}
 }
 
@@ -152,7 +85,7 @@ func TestDecodeWaysAllocFree(t *testing.T) {
 	tab := decodeTestTable(t)
 	rng := rand.New(rand.NewSource(45))
 	syms := compress.Symbols(smoothFloatBlock(rng))
-	ways, _, _ := tab.EncodeWays(syms, 0, 0)
+	ways, _ := tab.EncodeWays(syms, 0, 0)
 	payload, starts := buildPayload(ways)
 	if _, err := tab.DecodeWays(payload, starts, 0, 0); err != nil {
 		t.Fatal(err)
@@ -171,9 +104,7 @@ func TestDecodeWaysAllocFree(t *testing.T) {
 // reference on arbitrary payloads: both must agree on error versus success,
 // and on the decoded symbols when both succeed; neither may panic or read
 // outside the payload. When the reference succeeds, the decoded symbols are
-// re-encoded to obtain an honest gap array and the parallel decoder must
-// reproduce the serial result exactly; with fuzzer-controlled (possibly
-// corrupt) gap offsets the parallel decoder must still never panic.
+// re-encoded and the LUT decoder must reproduce them exactly.
 func FuzzDecodeLUT(f *testing.F) {
 	rng := rand.New(rand.NewSource(46))
 	tr := NewTrainer()
@@ -190,14 +121,11 @@ func FuzzDecodeLUT(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if tab.lut == nil {
-		f.Fatal("fuzz table should have a decode LUT")
-	}
 
 	// Seed with valid encodings so the fuzzer starts from decodable streams.
 	for i := 0; i < 4; i++ {
 		syms := compress.Symbols(smoothFloatBlock(rng))
-		ways, _, _ := tab.EncodeWays(syms, 0, 0)
+		ways, _ := tab.EncodeWays(syms, 0, 0)
 		payload, starts := buildPayload(ways)
 		f.Add(payload, byte(starts[0]), byte(starts[1]), byte(starts[2]), byte(starts[3]), byte(0), byte(0))
 	}
@@ -218,36 +146,21 @@ func FuzzDecodeLUT(f *testing.F) {
 			t.Fatalf("decoders disagree on validity: refErr=%v lutErr=%v", refErr, lutErr)
 		}
 		if refErr != nil {
-			// Malformed stream: both errored, neither panicked. Run the
-			// parallel decoder with fuzzer-derived gaps purely for its
-			// no-panic/no-overread guarantee.
-			var gaps GapArray
-			for i := range gaps {
-				if i < len(payload) {
-					gaps[i] = uint16(payload[i]) << uint(i%8)
-				}
-			}
-			_, _ = tab.DecodeWaysParallel(payload, starts, skipStart, skipLen, &gaps)
-			return
+			return // malformed stream: both errored, neither panicked
 		}
 		if lut != ref {
 			t.Fatal("LUT decode diverges from reference on valid stream")
 		}
 
-		// Honest gap array: re-encode the decoded symbols and require the
-		// parallel decode to be bitwise-identical to the serial result.
-		ways, _, gaps := tab.EncodeWays(ref, skipStart, skipLen)
+		// Re-encode the decoded symbols: the LUT decoder must read them back.
+		ways, _ := tab.EncodeWays(ref, skipStart, skipLen)
 		payload2, starts2 := buildPayload(ways)
-		serial, err := tab.DecodeWays(payload2, starts2, skipStart, skipLen)
+		again, err := tab.DecodeWays(payload2, starts2, skipStart, skipLen)
 		if err != nil {
-			t.Fatalf("re-encoded stream failed serial decode: %v", err)
+			t.Fatalf("re-encoded stream failed decode: %v", err)
 		}
-		par, err := tab.DecodeWaysParallel(payload2, starts2, skipStart, skipLen, &gaps)
-		if err != nil {
-			t.Fatalf("re-encoded stream failed parallel decode: %v", err)
-		}
-		if par != serial {
-			t.Fatal("parallel decode diverges from serial on honest gap array")
+		if again != ref {
+			t.Fatal("re-encoded stream decodes to different symbols")
 		}
 	})
 }

@@ -166,7 +166,7 @@ func TestEncodeDecodeWaysWithSkip(t *testing.T) {
 	for _, span := range []struct{ start, n int }{
 		{0, 4}, {12, 8}, {16, 16}, {30, 6}, {60, 4}, {5, 0},
 	} {
-		ways, wayBits, _ := tab.EncodeWays(syms, span.start, span.n)
+		ways, wayBits := tab.EncodeWays(syms, span.start, span.n)
 		// Paste ways into a contiguous payload, record offsets.
 		var payload []byte
 		var starts [PDWs]int
@@ -202,8 +202,8 @@ func TestSkipShrinksEncoding(t *testing.T) {
 	tab := trainOn(t, len(blocks), func(i int) []byte { return blocks[i] })
 	syms := compress.Symbols(blocks[1])
 
-	_, fullBits, _ := tab.EncodeWays(syms, 0, 0)
-	_, skipBits, _ := tab.EncodeWays(syms, 16, 16) // drop all of way 1
+	_, fullBits := tab.EncodeWays(syms, 0, 0)
+	_, skipBits := tab.EncodeWays(syms, 16, 16) // drop all of way 1
 	if skipBits[1] != 0 {
 		t.Errorf("way 1 should be empty after skipping its span, got %d bits", skipBits[1])
 	}
@@ -307,7 +307,7 @@ func TestWaysAreByteAligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tab := trainOn(t, 200, func(i int) []byte { return smoothFloatBlock(rng) })
 	syms := compress.Symbols(smoothFloatBlock(rng))
-	ways, wayBits, _ := tab.EncodeWays(syms, 0, 0)
+	ways, wayBits := tab.EncodeWays(syms, 0, 0)
 	for wy := 0; wy < PDWs; wy++ {
 		if len(ways[wy])*8 < wayBits[wy] {
 			t.Fatalf("way %d: payload %d bits < declared %d", wy, len(ways[wy])*8, wayBits[wy])

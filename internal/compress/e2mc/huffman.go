@@ -171,8 +171,9 @@ func newCanonical(lens []uint8, maxLen int) (*canonical, error) {
 
 // decode reads one canonical codeword from r and returns the item, walking
 // the stream one bit at a time through the interface-typed reader. This is
-// the retained reference decoder: the LUT fast path (table.go) must stay
-// bitwise-equivalent to it, which the FuzzDecodeLUT target cross-checks.
+// the retained reference decoder behind DecodeWaysRef; no codec calls it.
+// The LUT fast path (table.go) must stay bitwise-equivalent to it, which
+// TestDecodeWaysLUTMatchesReference and FuzzDecodeLUT cross-check.
 func (c *canonical) decode(r interface{ ReadBits(int) (uint64, error) }) (int32, error) {
 	code := uint32(0)
 	for l := 1; l <= c.maxLen; l++ {

@@ -83,9 +83,9 @@ func TestTableUnmarshalRejectsCorruption(t *testing.T) {
 		// cosmetics — these bytes arrive over the network via slcd).
 		"zero maxlen":      mutate(1, 0),
 		"oversized maxlen": mutate(1, 255),
-		// gapK must be one of the supported decode granularities {4, 8, 16}.
-		"bad gapK":  mutate(2, 3),
-		"zero gapK": mutate(2, 0),
+		// One past lutMaxLen: every table decodes through a LUT, so a
+		// maxLen that would need the reference decoder rejects.
+		"maxLen 17 rejects": mutate(1, 17),
 		// Declared entry count inconsistent with the payload length.
 		"huge n": mutate(3, 0xff),
 	}
@@ -97,13 +97,26 @@ func TestTableUnmarshalRejectsCorruption(t *testing.T) {
 	cases["kraft violation"] = bad
 	// Duplicate symbol: entry 1 repeats entry 0's symbol.
 	dup := append([]byte(nil), data...)
-	copy(dup[9:11], dup[7:9])
+	copy(dup[8:10], dup[6:8])
 	cases["duplicate symbol"] = dup
 	for name, c := range cases {
 		var got Table
 		if err := got.UnmarshalBinary(c); err == nil {
 			t.Errorf("%s: UnmarshalBinary accepted corrupt record", name)
 		}
+	}
+}
+
+// TestBuildRejectsMaxLenBeyondLUT pins the training-side twin of the
+// record's maxLen bound: a table always gets a decode LUT.
+func TestBuildRejectsMaxLenBeyondLUT(t *testing.T) {
+	tr := NewTrainer()
+	tr.Sample(make([]byte, compress.BlockSize))
+	if _, err := tr.Build(0, lutMaxLen+1); err == nil {
+		t.Errorf("Build(0, %d) accepted a maxLen beyond the LUT bound", lutMaxLen+1)
+	}
+	if _, err := tr.Build(0, lutMaxLen); err != nil {
+		t.Errorf("Build(0, %d): %v", lutMaxLen, err)
 	}
 }
 
@@ -138,7 +151,7 @@ func FuzzTableUnmarshal(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
-	f.Add([]byte{2, 15, 4, 0, 0, 0, 1})
+	f.Add([]byte{3, 15, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tab Table
 		if err := tab.UnmarshalBinary(data); err != nil {

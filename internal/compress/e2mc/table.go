@@ -6,6 +6,10 @@
 // pointers, and an online-sampling training phase. SC² (Arelakis et al.,
 // ISCA 2014) is the CPU-side sibling of the same design; the paper treats
 // the two as equivalent for the MAG analysis.
+//
+// The four ways are the only decode parallelism the package models: every
+// block decodes through one LUT path (DecodeWays). The bit-by-bit reference
+// decoder (DecodeWaysRef) is kept solely so tests can cross-check it.
 package e2mc
 
 import (
@@ -30,28 +34,11 @@ const (
 // lut entry packs sym<<16 | escapeFlag | codeLen; entry 0 (code length 0)
 // marks a bit pattern no codeword prefixes.
 const (
-	lutMaxLen  = 16     // largest maxLen we build a LUT for (64K entries)
+	lutMaxLen  = 16     // largest maxLen a table or codebook accepts (64K LUT entries)
 	lutLenMask = 0x7f   // code length bits of a lut entry
 	lutEscape  = 1 << 7 // set when the codeword is the escape code
 	lutSymbol  = 16     // shift of the decoded symbol value
 )
-
-// Gap-array parameters. EncodeWays records the bit offset of every gapK-th
-// symbol boundary inside each way as a sideband checkpoint, so a parallel
-// decoder can start mid-way without first decoding the preceding symbols.
-// The checkpoints live beside the payload — they model index metadata the
-// memory controller keeps per block and are not counted in compressed bits.
-const (
-	DefaultGapK   = 4                             // symbols per gap segment
-	MaxGapsPerWay = SymbolsPerWay/DefaultGapK - 1 // checkpoints per way at the finest K
-)
-
-// GapArray holds the per-way decode checkpoints of one block: entry
-// w*MaxGapsPerWay+j is the bit offset (within way w's payload) where in-way
-// symbol (j+1)*gapK begins. With gapK > DefaultGapK only the first
-// SymbolsPerWay/gapK-1 entries per way are meaningful. A way encodes at most
-// 16 symbols of ≤ 31 bits, so offsets fit in uint16 with room to spare.
-type GapArray [PDWs * MaxGapsPerWay]uint16
 
 // Trainer accumulates 16-bit symbol statistics from sampled blocks, standing
 // in for E2MC's online sampling phase (the paper samples 20 M instructions).
@@ -78,13 +65,17 @@ func (t *Trainer) SampleCount() uint64 { return t.total }
 
 // Build constructs the Huffman table from the sampled statistics. maxSymbols
 // (including the escape entry) and maxLen bound the table size and codeword
-// length; zero values select the defaults.
+// length; zero values select the defaults. maxLen is capped at lutMaxLen so
+// the decode LUT always exists.
 func (t *Trainer) Build(maxSymbols, maxLen int) (*Table, error) {
 	if maxSymbols == 0 {
 		maxSymbols = DefaultMaxSymbols
 	}
 	if maxLen == 0 {
 		maxLen = DefaultMaxCodeLen
+	}
+	if maxLen < 1 || maxLen > lutMaxLen {
+		return nil, fmt.Errorf("e2mc: table maxLen %d out of [1, %d]", maxLen, lutMaxLen)
 	}
 	if maxSymbols < 2 {
 		return nil, fmt.Errorf("e2mc: need at least 2 table entries, got %d", maxSymbols)
@@ -144,7 +135,6 @@ func (t *Trainer) Build(maxSymbols, maxLen int) (*Table, error) {
 		escItem: int32(keep),
 		lenOf:   make([]uint8, 1<<16),
 		itemOf:  make([]int32, 1<<16),
-		gapK:    DefaultGapK,
 	}
 	for i := range tab.itemOf {
 		tab.itemOf[i] = -1
@@ -168,19 +158,12 @@ type Table struct {
 	escLen  uint8
 	lenOf   []uint8  // symbol value → code length (0 if escaped)
 	itemOf  []int32  // symbol value → item index (-1 if escaped)
-	lut     []uint32 // 1<<maxLen decode entries; nil when maxLen > lutMaxLen
-	gapK    int      // symbols per gap segment (4, 8 or 16)
+	lut     []uint32 // 1<<maxLen decode entries
 }
 
 // buildLUT fills the decode lookup table: for each codeword, every maxLen-bit
-// window it prefixes maps to its packed (symbol, length) entry. Tables with
-// maxLen beyond lutMaxLen keep lut nil and decode through the bit-by-bit
-// reference path.
+// window it prefixes maps to its packed (symbol, length) entry.
 func (t *Table) buildLUT() {
-	if t.maxLen > lutMaxLen {
-		t.lut = nil
-		return
-	}
 	lut := make([]uint32, 1<<uint(t.maxLen))
 	for item, l := range t.canon.lens {
 		if l == 0 {
@@ -199,21 +182,6 @@ func (t *Table) buildLUT() {
 		}
 	}
 	t.lut = lut
-}
-
-// GapK returns the gap-array checkpoint interval in symbols.
-func (t *Table) GapK() int { return t.gapK }
-
-// SetGapK changes the checkpoint interval. Coarser intervals shrink the
-// sideband at the cost of less decode parallelism; the interval must divide
-// a way evenly and not exceed MaxGapsPerWay checkpoints.
-func (t *Table) SetGapK(k int) error {
-	switch k {
-	case 4, 8, 16:
-		t.gapK = k
-		return nil
-	}
-	return fmt.Errorf("e2mc: gap interval %d not one of 4, 8, 16", k)
 }
 
 // SymbolBits returns the encoded cost of one symbol in bits: its codeword
@@ -243,7 +211,8 @@ func (t *Table) encodeSymbol(w *compress.BitWriter, sym uint16) {
 	w.WriteBits(uint64(sym), escapeRawBits)
 }
 
-// decodeSymbol reads one symbol through the bit-by-bit reference path.
+// decodeSymbol reads one symbol through the bit-by-bit reference path that
+// DecodeWaysRef walks; no codec calls it.
 func (t *Table) decodeSymbol(r *compress.BitReader) (uint16, error) {
 	item, err := t.canon.decode(r)
 	if err != nil {

@@ -225,3 +225,28 @@ func TestSyncBlockAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestDecompressAllocFree pins every registered codec's Decompress to zero
+// heap allocations over the encodings of the same corpus.
+func TestDecompressAllocFree(t *testing.T) {
+	blocks := syncCorpus()
+	dst := make([]byte, compress.BlockSize)
+	for _, name := range compress.Names() {
+		c := buildCorpusCodec(t, name, blocks)
+		encs := make([]compress.Encoded, len(blocks))
+		for i, b := range blocks {
+			encs[i] = c.Compress(b)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			for _, e := range encs {
+				if err := c.Decompress(e, dst); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Decompress allocates %.1f objects per pass over %d blocks, want 0",
+				name, allocs, len(blocks))
+		}
+	}
+}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/compress"
 	_ "repro/internal/compress/all" // register every codec
-	"repro/internal/compress/e2mc"
 	"repro/internal/flight"
 	"repro/internal/gpu/device"
 	"repro/internal/pipeline"
@@ -203,9 +202,6 @@ type Block struct {
 	Payload []byte `json:"payload,omitempty"`
 	// Lossy marks blocks whose payload decodes to an approximation.
 	Lossy bool `json:"lossy,omitempty"`
-	// Gaps is the E2MC per-way gap array enabling parallel decode; absent
-	// for other codecs (decode then falls back to serial).
-	Gaps []uint16 `json:"gaps,omitempty"`
 }
 
 // CompressRequest asks for Data, a multiple of 128 bytes, to be compressed
@@ -279,18 +275,6 @@ func checkGeometry(n int) error {
 	return nil
 }
 
-// gapCompressor is the optional codec fast path producing per-way gap
-// metadata alongside the encoding (E2MC).
-type gapCompressor interface {
-	CompressWithGaps(block []byte) (compress.Encoded, e2mc.GapArray)
-}
-
-// gapDecompressor is the optional parallel decode path consuming that
-// metadata (E2MC's four-way parallel Huffman decode).
-type gapDecompressor interface {
-	DecompressParallel(e compress.Encoded, gaps *e2mc.GapArray, dst []byte) error
-}
-
 // Compress encodes req.Data block-by-block across the core's worker pool.
 func (c *Core) Compress(ctx context.Context, req *CompressRequest) (*CompressResponse, error) {
 	release, err := c.acquire()
@@ -315,23 +299,11 @@ func (c *Core) Compress(ctx context.Context, req *CompressRequest) (*CompressRes
 			blocks[i] = Block{Bits: compress.BlockBits, Payload: append([]byte(nil), raw...)}
 			return nil
 		}
-		var enc compress.Encoded
-		var gaps []uint16
-		if gc, ok := cod.(gapCompressor); ok {
-			e, g := gc.CompressWithGaps(raw)
-			enc = e
-			gaps = make([]uint16, len(g))
-			for j, v := range g {
-				gaps[j] = v
-			}
-		} else {
-			enc = cod.Compress(raw)
-		}
+		enc := cod.Compress(raw)
 		blocks[i] = Block{
 			Bits:    enc.Bits,
 			Payload: append([]byte(nil), enc.Payload...),
 			Lossy:   enc.Lossy,
-			Gaps:    gaps,
 		}
 		return nil
 	})
@@ -350,10 +322,7 @@ func (c *Core) Compress(ctx context.Context, req *CompressRequest) (*CompressRes
 	return &CompressResponse{Codec: req.Codec, Blocks: blocks, RawRatio: ratio}, nil
 }
 
-// Decompress decodes blocks back into bytes. E2MC blocks carrying their gap
-// array decode through DecompressParallel — the four-way parallel Huffman
-// path, bitwise-identical to serial decode — and every other block through
-// the codec's serial Decompress.
+// Decompress decodes blocks back into bytes through the codec's Decompress.
 func (c *Core) Decompress(ctx context.Context, req *DecompressRequest) (*DecompressResponse, error) {
 	release, err := c.acquire()
 	if err != nil {
@@ -380,19 +349,6 @@ func (c *Core) Decompress(ctx context.Context, req *DecompressRequest) (*Decompr
 			return nil
 		}
 		enc := compress.Encoded{Bits: b.Bits, Payload: b.Payload, Lossy: b.Lossy}
-		if gd, ok := cod.(gapDecompressor); ok && len(b.Gaps) > 0 {
-			var gaps e2mc.GapArray
-			if len(b.Gaps) != len(gaps) {
-				return badRequest("serving: block %d: gap array has %d entries, want %d", i, len(b.Gaps), len(gaps))
-			}
-			for j, v := range b.Gaps {
-				gaps[j] = v
-			}
-			if err := gd.DecompressParallel(enc, &gaps, dst); err != nil {
-				return badRequest("serving: block %d: %v", i, err)
-			}
-			return nil
-		}
 		if err := cod.Decompress(enc, dst); err != nil {
 			return badRequest("serving: block %d: %v", i, err)
 		}

@@ -38,24 +38,56 @@ func postJSON(t *testing.T, url string, req interface{}) (int, []byte) {
 func TestHTTPCompressDecompressRoundTrip(t *testing.T) {
 	srv := newTestServer(t, newTestCore(0))
 	data := testData(4)
-	status, body := postJSON(t, srv.URL+"/v1/compress", &CompressRequest{Codec: "bdi", Data: data})
-	if status != http.StatusOK {
-		t.Fatalf("compress: %d: %s", status, body)
-	}
-	var cres CompressResponse
-	if err := json.Unmarshal(body, &cres); err != nil {
-		t.Fatal(err)
-	}
-	status, body = postJSON(t, srv.URL+"/v1/decompress", &DecompressRequest{Codec: "bdi", Blocks: cres.Blocks})
-	if status != http.StatusOK {
-		t.Fatalf("decompress: %d: %s", status, body)
-	}
-	var dres DecompressResponse
-	if err := json.Unmarshal(body, &dres); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dres.Data, data) {
-		t.Fatal("HTTP round trip is not byte-identical")
+	for _, tc := range []struct{ codec, profile string }{
+		{"bdi", ""},
+		{"e2mc", "TP"},
+	} {
+		t.Run(tc.codec, func(t *testing.T) {
+			status, body := postJSON(t, srv.URL+"/v1/compress", &CompressRequest{Codec: tc.codec, Profile: tc.profile, Data: data})
+			if status != http.StatusOK {
+				t.Fatalf("compress: %d: %s", status, body)
+			}
+			if bytes.Contains(body, []byte(`"gaps"`)) {
+				t.Fatalf("compress response carries a gaps key: %s", body)
+			}
+			var cres CompressResponse
+			if err := json.Unmarshal(body, &cres); err != nil {
+				t.Fatal(err)
+			}
+			decompress := func(req interface{}) []byte {
+				t.Helper()
+				status, body := postJSON(t, srv.URL+"/v1/decompress", req)
+				if status != http.StatusOK {
+					t.Fatalf("decompress: %d: %s", status, body)
+				}
+				var dres DecompressResponse
+				if err := json.Unmarshal(body, &dres); err != nil {
+					t.Fatal(err)
+				}
+				return dres.Data
+			}
+			got := decompress(&DecompressRequest{Codec: tc.codec, Profile: tc.profile, Blocks: cres.Blocks})
+			if !bytes.Equal(got, data) {
+				t.Fatal("HTTP round trip is not byte-identical")
+			}
+
+			// Older clients send a per-block "gaps" array; the field is
+			// ignored and decoding is unchanged.
+			type legacyBlock struct {
+				Block
+				Legacy []uint16 `json:"gaps"`
+			}
+			legacy := make([]legacyBlock, len(cres.Blocks))
+			for i, b := range cres.Blocks {
+				legacy[i] = legacyBlock{Block: b, Legacy: make([]uint16, 12)}
+			}
+			got = decompress(map[string]interface{}{
+				"codec": tc.codec, "profile": tc.profile, "blocks": legacy,
+			})
+			if !bytes.Equal(got, data) {
+				t.Fatal("decompress with legacy gaps differs from decompress without them")
+			}
+		})
 	}
 }
 

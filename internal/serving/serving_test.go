@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/compress/e2mc"
 	"repro/internal/resultstore"
+	"repro/internal/workloads"
 )
 
 // testData builds n blocks of compressible test bytes (the smooth ramps the
@@ -106,53 +108,6 @@ func TestBoundedCodecServingHonoursBound(t *testing.T) {
 	}
 }
 
-// TestParallelDecodeMatchesSerial is the wiring acceptance check: E2MC blocks
-// carry their gap arrays, decode through DecompressParallel, and the result
-// is byte-identical to the serial path (the same blocks with the gap
-// metadata stripped).
-func TestParallelDecodeMatchesSerial(t *testing.T) {
-	core := newTestCore(0)
-	data := testData(16)
-	cres, err := core.Compress(context.Background(), &CompressRequest{
-		Codec: "e2mc", Profile: "TP", Data: data,
-	})
-	if err != nil {
-		t.Fatalf("compress: %v", err)
-	}
-	withGaps := 0
-	for _, b := range cres.Blocks {
-		if len(b.Gaps) > 0 {
-			withGaps++
-		}
-	}
-	if withGaps == 0 {
-		t.Fatal("no block carries a gap array; the parallel path is not wired")
-	}
-	parallel, err := core.Decompress(context.Background(), &DecompressRequest{
-		Codec: "e2mc", Profile: "TP", Blocks: cres.Blocks,
-	})
-	if err != nil {
-		t.Fatalf("parallel decompress: %v", err)
-	}
-	serialBlocks := make([]Block, len(cres.Blocks))
-	copy(serialBlocks, cres.Blocks)
-	for i := range serialBlocks {
-		serialBlocks[i].Gaps = nil
-	}
-	serial, err := core.Decompress(context.Background(), &DecompressRequest{
-		Codec: "e2mc", Profile: "TP", Blocks: serialBlocks,
-	})
-	if err != nil {
-		t.Fatalf("serial decompress: %v", err)
-	}
-	if !bytes.Equal(parallel.Data, serial.Data) {
-		t.Fatal("parallel decode differs from serial decode")
-	}
-	if !bytes.Equal(parallel.Data, data) {
-		t.Fatal("decode differs from the original data")
-	}
-}
-
 // TestWarmTableZeroRetrains pins the builder cache: the first e2mc request
 // trains the table, every subsequent request reuses it.
 func TestWarmTableZeroRetrains(t *testing.T) {
@@ -175,39 +130,71 @@ func TestWarmTableZeroRetrains(t *testing.T) {
 // the first's result store serves the table from disk with zero retrains.
 func TestStoreSkipsRetrainAcrossCores(t *testing.T) {
 	dir := t.TempDir()
-	st, err := resultstore.Open(dir, resultstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := newTestCore(0)
-	cold.SetStore(st)
 	data := testData(4)
-	if _, err := cold.Compress(context.Background(), &CompressRequest{
-		Codec: "e2mc", Profile: "TP", Data: data,
-	}); err != nil {
-		t.Fatal(err)
+	// compressOn runs one e2mc request on a fresh core over the store in
+	// dir and returns the core's table counters.
+	compressOn := func() TableStats {
+		t.Helper()
+		st, err := resultstore.Open(dir, resultstore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		core := newTestCore(0)
+		core.SetStore(st)
+		if _, err := core.Compress(context.Background(), &CompressRequest{
+			Codec: "e2mc", Profile: "TP", Data: data,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return core.Tables.Stats()
 	}
-	if s := cold.Tables.Stats(); s.Retrains != 1 {
+	if s := compressOn(); s.Retrains != 1 {
 		t.Fatalf("cold core retrained %d times, want 1", s.Retrains)
 	}
-
-	st2, err := resultstore.Open(dir, resultstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := newTestCore(0)
-	warm.SetStore(st2)
-	if _, err := warm.Compress(context.Background(), &CompressRequest{
-		Codec: "e2mc", Profile: "TP", Data: data,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s := warm.Tables.Stats()
+	s := compressOn()
 	if s.Retrains != 0 {
 		t.Fatalf("warm core retrained %d times, want 0 (table is on disk)", s.Retrains)
 	}
 	if s.DiskHits != 1 {
 		t.Fatalf("warm core disk hits = %d, want 1", s.DiskHits)
+	}
+
+	// A table record in the older v2 layout (a gap-interval byte after
+	// maxLen) no longer decodes: a fresh core retrains once and rewrites
+	// the record in the current layout, which the next core then hits.
+	st, err := resultstore.Open(dir, resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workloads.ByName("TP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := st.Key(kindTable, tableMaterial(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, ok, err := st.GetBytes(key)
+	if err != nil || !ok {
+		t.Fatalf("table record missing from the store (ok=%v, err=%v)", ok, err)
+	}
+	v2 := append([]byte{2, rec[1], 4}, rec[2:]...)
+	if err := st.PutBytes(key, kindTable, "bin", v2); err != nil {
+		t.Fatal(err)
+	}
+	if s := compressOn(); s.Retrains != 1 || s.DiskHits != 0 {
+		t.Fatalf("core over a v2 record: retrains %d, disk hits %d; want 1, 0", s.Retrains, s.DiskHits)
+	}
+	rec, ok, err = st.GetBytes(key)
+	if err != nil || !ok {
+		t.Fatalf("retrained table record missing (ok=%v, err=%v)", ok, err)
+	}
+	var tab e2mc.Table
+	if err := tab.UnmarshalBinary(rec); err != nil {
+		t.Fatalf("rewritten table record does not decode: %v", err)
+	}
+	if s := compressOn(); s.Retrains != 0 || s.DiskHits != 1 {
+		t.Fatalf("core after the rewrite: retrains %d, disk hits %d; want 0, 1", s.Retrains, s.DiskHits)
 	}
 }
 

@@ -276,7 +276,7 @@ func (c *Codec) SyncBlock(block []byte) (int, bool) {
 
 // emit encodes the block with the given skip span and builds the header.
 func (c *Codec) emit(syms *[compress.SymbolsPerBlock]uint16, skipStart, skipLen int, d Decision) compress.Encoded {
-	ways, _, _ := c.tab.EncodeWays(*syms, skipStart, skipLen)
+	ways, _ := c.tab.EncodeWays(*syms, skipStart, skipLen)
 	w := compress.NewBitWriter(d.StoredBits)
 	w.WriteBool(skipLen > 0) // m
 	if skipLen > 0 {
