@@ -108,6 +108,10 @@ type syncSummary struct {
 	Bits   int    `json:"bits"`
 	Lossy  int    `json:"lossy"`
 	FNV    string `json:"fnv1a64"` // over every block's (bits, lossy, block after SyncBlock)
+	// PayloadFNV hashes every block's Compress output, (Bits, len(Payload),
+	// Payload). Sizes alone cannot tell two parses of equal cost apart: a
+	// same-length LZ4B match at another offset costs the same bits.
+	PayloadFNV string `json:"payload_fnv1a64"`
 }
 
 func summarizeSync(c compress.Codec, blocks [][]byte) syncSummary {
@@ -129,11 +133,22 @@ func summarizeSync(c compress.Codec, blocks [][]byte) syncSummary {
 		h.Write(buf)
 	}
 	s.FNV = fmt.Sprintf("%016x", h.Sum64())
+	h.Reset()
+	for _, b := range blocks {
+		enc := c.Compress(b)
+		var rec [8]byte
+		binary.LittleEndian.PutUint32(rec[:], uint32(enc.Bits))
+		binary.LittleEndian.PutUint32(rec[4:], uint32(len(enc.Payload)))
+		h.Write(rec[:])
+		h.Write(enc.Payload)
+	}
+	s.PayloadFNV = fmt.Sprintf("%016x", h.Sum64())
 	return s
 }
 
 // TestSyncBlockMatchesFixture pins every registered codec's SyncBlock — the
-// bits, the lossy flag and the write-back — over a fixed corpus. A codec
+// bits, the lossy flag and the write-back — and its Compress payload bytes
+// over a fixed corpus. A codec
 // optimisation must leave the fixture unchanged; regenerate it with
 //
 //	go test ./internal/compress/ -run SyncBlockMatchesFixture -update
