@@ -1,10 +1,10 @@
-// Package lz4b implements a byte-pair/window LZ-style lossless codec over
-// one 128-byte block, in the spirit of LZ4's literal/match token stream but
+// Package lz4b implements a window LZ-style lossless codec over one
+// 128-byte block, in the spirit of LZ4's literal/match token stream but
 // scaled down to the memory-compression setting: the window is the block
-// itself, match candidates are found through a byte-pair hash chain, and the
-// output is a real bitstream bounded by the uncompressed block size (a block
-// whose token stream would reach 1024 bits is stored raw, exactly like the
-// FPC and C-PACK fallbacks).
+// itself, match candidates are found through a 3-byte-prefix hash chain,
+// and the output is a real bitstream bounded by the uncompressed block size
+// (a block whose token stream would reach 1024 bits is stored raw, exactly
+// like the FPC and C-PACK fallbacks).
 //
 // The token grammar, MSB-first:
 //
@@ -57,67 +57,87 @@ type Codec struct{}
 // Name implements compress.Codec.
 func (Codec) Name() string { return "LZ4B" }
 
-// pairHash maps a byte pair to a hash-chain head slot, mixing both bytes so
-// the 256 chains spread real pairs rather than keying on one byte. A
-// colliding candidate costs only a failed probe — findMatch byte-compares
-// every candidate — so the hash affects probe count, never output.
-func pairHash(a, b byte) int { return (int(a)*131 ^ int(b)) & (pairTableSize - 1) }
+// prefixHash maps the MinMatch-byte prefix a, b, c to a hash-chain head
+// slot by multiplicative (Fibonacci) hashing. Every candidate that shares
+// the prefix shares the slot, so each chain holds every position that can
+// start a match of MinMatch or more; a colliding candidate costs only a
+// failed probe, since findMatch byte-compares every candidate, so the hash
+// affects probe count, never output.
+func prefixHash(a, b, c byte) uint32 {
+	return (uint32(a) | uint32(b)<<8 | uint32(c)<<16) * 2654435761 >> (32 - headBits)
+}
 
-const pairTableSize = 1 << 8 // 256 chain heads: cheap, collisions only cost probes
+const (
+	headBits = 9 // 512 chain heads: a prefix's chain rarely holds another prefix
+	noHash   = 1 << headBits
+)
 
-// findMatch returns the longest match for block[pos:] starting strictly
-// before pos, using the byte-pair chains in head/prev. A returned length of
-// zero means no match of at least MinMatch exists. Ties prefer the most
-// recent (smallest-offset) candidate, which the chain order yields for free.
-func findMatch(block []byte, pos int, head []int, prev []int) (matchPos, matchLen int) {
+// chains holds the hash chains as position+1, so the zero value is empty:
+// head[h] is the most recent position whose prefix hashes to h, and
+// prev[p] the position before p on p's chain. Positions fit a uint8 since
+// a block has BlockSize (128) of them.
+type chains struct {
+	head [1 << headBits]uint8
+	prev [compress.BlockSize]uint8
+}
+
+// hashAt returns the chain slot of block[pos:], or noHash if fewer than
+// MinMatch bytes remain, so that no match can start there.
+func hashAt(block []byte, pos int) uint32 {
 	if pos+MinMatch > len(block) {
+		return noHash
+	}
+	return prefixHash(block[pos], block[pos+1], block[pos+2])
+}
+
+// insert puts pos, whose slot is h, at the head of its chain.
+func (c *chains) insert(pos int, h uint32) {
+	if h != noHash {
+		c.prev[pos] = c.head[h]
+		c.head[h] = uint8(pos + 1)
+	}
+}
+
+// findMatch returns the longest match for block[pos:], whose slot is h,
+// among the positions inserted so far, all of which lie before pos. A
+// returned length of zero means no match of at least MinMatch exists. Ties
+// prefer the most recent (smallest-offset) candidate, which the chain order
+// yields for free. A candidate whose byte at the current best length
+// differs cannot beat it strictly, so it is skipped without a full compare.
+func (c *chains) findMatch(block []byte, pos int, h uint32) (matchPos, matchLen int) {
+	if h == noHash {
 		return 0, 0
 	}
-	limit := len(block) - pos
-	if limit > MaxMatch {
-		limit = MaxMatch
-	}
-	for cand := head[pairHash(block[pos], block[pos+1])]; cand >= 0; cand = prev[cand] {
-		if cand >= pos {
-			continue // a slot written for this very position
+	limit := min(len(block)-pos, MaxMatch)
+	best := MinMatch - 1
+	for p := c.head[h]; p != 0; p = c.prev[p-1] {
+		cand := int(p) - 1
+		if block[cand+best] != block[pos+best] {
+			continue
 		}
 		n := 0
 		for n < limit && block[cand+n] == block[pos+n] {
 			n++
 		}
-		if n > matchLen {
-			matchPos, matchLen = cand, n
+		if n > best {
+			matchPos, best = cand, n
 			if n == limit {
 				break
 			}
 		}
 	}
-	if matchLen < MinMatch {
+	if best < MinMatch {
 		return 0, 0
 	}
-	return matchPos, matchLen
+	return matchPos, best
 }
 
 // encode runs the greedy parse once. With w == nil only the size is
 // accounted; otherwise the token stream is emitted. Both paths share the
 // parse, so SyncBlock always agrees with Compress.
 func encode(block []byte, w *compress.BitWriter) int {
-	// Chain state stays off the heap: both sizes are compile-time constants
-	// and encode runs once per block on the Sync hot path.
-	var head [pairTableSize]int
-	for i := range head {
-		head[i] = -1
-	}
-	var prevBuf [compress.BlockSize]int
-	prev := prevBuf[:len(block)]
-	insert := func(pos int) {
-		if pos+1 >= len(block) {
-			return
-		}
-		h := pairHash(block[pos], block[pos+1])
-		prev[pos] = head[h]
-		head[h] = pos
-	}
+	// Chain state stays off the heap, and is zero (empty) on entry.
+	var c chains
 
 	bits := 0
 	flushLiterals := func(start, end int) {
@@ -141,9 +161,10 @@ func encode(block []byte, w *compress.BitWriter) int {
 	litStart := 0
 	pos := 0
 	for pos < len(block) {
-		mpos, mlen := findMatch(block, pos, head[:], prev)
+		h := hashAt(block, pos)
+		mpos, mlen := c.findMatch(block, pos, h)
 		if mlen == 0 {
-			insert(pos)
+			c.insert(pos, h)
 			pos++
 			continue
 		}
@@ -154,8 +175,9 @@ func encode(block []byte, w *compress.BitWriter) int {
 			w.WriteBits(uint64(pos-mpos-1), offsetBits)
 			w.WriteBits(uint64(mlen-MinMatch), lenBits)
 		}
-		for i := 0; i < mlen; i++ {
-			insert(pos + i)
+		c.insert(pos, h)
+		for i := 1; i < mlen; i++ {
+			c.insert(pos+i, hashAt(block, pos+i))
 		}
 		pos += mlen
 		litStart = pos

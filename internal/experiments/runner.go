@@ -17,6 +17,9 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -214,7 +217,9 @@ func (r *Runner) Golden(w workloads.Workload) ([]float64, error) {
 		key, usable := r.storeKey(kindGolden, goldenMaterial(w))
 		if usable {
 			var out []float64
-			if hit, err := r.Store.GetGob(key, &out); err != nil {
+			if hit, err := r.Store.Get(key, func(p []byte) error {
+				return gob.NewDecoder(bytes.NewReader(p)).Decode(&out)
+			}); err != nil {
 				return nil, fmt.Errorf("golden %s: store: %w", name, err)
 			} else if hit {
 				return out, nil
@@ -289,7 +294,7 @@ func (r *Runner) Run(w workloads.Workload, cfg Config) (RunResult, error) {
 		dkey, usable := r.storeKey(kindCell, r.cellMaterial(w, cfg))
 		if usable {
 			var cached RunResult
-			if hit, err := r.Store.GetJSON(dkey, &cached); err != nil {
+			if hit, err := r.Store.Get(dkey, func(p []byte) error { return json.Unmarshal(p, &cached) }); err != nil {
 				return RunResult{}, fmt.Errorf("%s × %s: store: %w", info.Name, cfg.Name, err)
 			} else if hit {
 				return cached, nil
@@ -341,7 +346,7 @@ func (r *Runner) CompressionOnly(w workloads.Workload, cfg Config) (pipeline.Sta
 		dkey, usable := r.storeKey(kindComp, compMaterial(w, cfg))
 		if usable {
 			var cached RunResult
-			if hit, err := r.Store.GetJSON(dkey, &cached); err != nil {
+			if hit, err := r.Store.Get(dkey, func(p []byte) error { return json.Unmarshal(p, &cached) }); err != nil {
 				return RunResult{}, fmt.Errorf("%s × %s: store: %w", info.Name, cfg.Name, err)
 			} else if hit {
 				return cached, nil

@@ -69,6 +69,10 @@ func (d *Device) Malloc(name string, size int, safeToApprox bool) (Region, error
 		SafeToApprox: safeToApprox,
 	}
 	d.next += uint64(aligned)
+	// Grow to the exact size. An amortised append would save copies but
+	// leaves up to a quarter of the memory as zeroed, resident spare
+	// capacity, which callers that keep a Bytes alias of the image pay
+	// for in peak RSS.
 	need := int(d.next - baseAddr)
 	if need > len(d.mem) {
 		grown := make([]byte, need)
@@ -102,9 +106,21 @@ func (d *Device) SafeToApprox(addr uint64) bool {
 // Footprint returns the total allocated bytes.
 func (d *Device) Footprint() int { return int(d.next - baseAddr) }
 
+// accessError reports an access to [addr, addr+n) that leaves allocated
+// memory. It is a small value type, not a fmt.Errorf call, so that the
+// word accessors' failure path stays cheap enough for them to inline.
+type accessError struct {
+	addr uint64
+	n    int
+}
+
+func (e accessError) Error() string {
+	return fmt.Sprintf("device: access [%#x, %#x) outside allocated memory", e.addr, e.addr+uint64(e.n))
+}
+
 func (d *Device) index(addr uint64, n int) (int, error) {
 	if addr < baseAddr || addr+uint64(n) > d.next {
-		return 0, fmt.Errorf("device: access [%#x, %#x) outside allocated memory", addr, addr+uint64(n))
+		return 0, accessError{addr, n}
 	}
 	return int(addr - baseAddr), nil
 }
@@ -135,40 +151,26 @@ func (r Region) BlockAddrs(fn func(addr uint64)) {
 	}
 }
 
-// Float32 reads a float32 at addr.
+// Float32 reads a float32 at addr. It panics with an accessError if any of
+// the four bytes lies outside allocated memory. addr-baseAddr wraps for an
+// address below baseAddr, so one unsigned compare against len(d.mem)-4
+// rejects both sides; the n < 4 test covers the empty device, where that
+// subtraction would wrap too.
 func (d *Device) Float32(addr uint64) float32 {
-	i, err := d.index(addr, 4)
-	if err != nil {
-		panic(err)
+	i, n := addr-baseAddr, uint64(len(d.mem))
+	if n < 4 || i > n-4 {
+		panic(accessError{addr, 4})
 	}
 	return math.Float32frombits(binary.LittleEndian.Uint32(d.mem[i:]))
 }
 
-// SetFloat32 writes a float32 at addr.
+// SetFloat32 writes a float32 at addr, with Float32's bounds check.
 func (d *Device) SetFloat32(addr uint64, v float32) {
-	i, err := d.index(addr, 4)
-	if err != nil {
-		panic(err)
+	i, n := addr-baseAddr, uint64(len(d.mem))
+	if n < 4 || i > n-4 {
+		panic(accessError{addr, 4})
 	}
 	binary.LittleEndian.PutUint32(d.mem[i:], math.Float32bits(v))
-}
-
-// Uint32 reads a uint32 at addr.
-func (d *Device) Uint32(addr uint64) uint32 {
-	i, err := d.index(addr, 4)
-	if err != nil {
-		panic(err)
-	}
-	return binary.LittleEndian.Uint32(d.mem[i:])
-}
-
-// SetUint32 writes a uint32 at addr.
-func (d *Device) SetUint32(addr uint64, v uint32) {
-	i, err := d.index(addr, 4)
-	if err != nil {
-		panic(err)
-	}
-	binary.LittleEndian.PutUint32(d.mem[i:], v)
 }
 
 // CopyFloats32 copies host values into the region (cudaMemcpyHostToDevice).
@@ -204,9 +206,10 @@ func (d *Device) ReadFloats32(r Region, n int) ([]float32, error) {
 }
 
 // F32 is a typed view over a region, the device-side array a kernel indexes.
-// It keeps only the region's base address and length, not the Region: the
-// kernels' inner loops copy the view into every inlined At and Set, so it
-// stays three words.
+// At and Set inline whole into the kernels' inner loops, Float32's and
+// SetFloat32's bounds check included, and each inlined call copies the
+// view. So it keeps only the region's base address and length, not the
+// Region with its name and flags, and stays three words.
 type F32 struct {
 	d    *Device
 	addr uint64

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/compress"
@@ -118,6 +119,86 @@ func TestOutOfRangeAccess(t *testing.T) {
 	if _, err := d.Bytes(0, 1); err == nil {
 		t.Error("read at null page accepted")
 	}
+}
+
+// TestWordAccessBounds pins the word accessors' bounds check: every access
+// that leaves allocated memory, on either side or by straddling the end,
+// panics with an accessError carrying the device's access message.
+func TestWordAccessBounds(t *testing.T) {
+	d := New()
+	r, err := d.Malloc("m", 256, false) // [0x80, 0x180)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		d    *Device
+		addr uint64
+		want string
+	}{
+		{"null address", d, 0, "device: access [0x0, 0x4) outside allocated memory"},
+		{"word just below base", d, 0x7c, "device: access [0x7c, 0x80) outside allocated memory"},
+		{"straddles base", d, 0x7f, "device: access [0x7f, 0x83) outside allocated memory"},
+		{"at the end", d, 0x180, "device: access [0x180, 0x184) outside allocated memory"},
+		{"far past the end", d, 1 << 40, "device: access [0x10000000000, 0x10000000004) outside allocated memory"},
+		{"straddles end by 1", d, 0x17d, "device: access [0x17d, 0x181) outside allocated memory"},
+		{"straddles end by 2", d, 0x17e, "device: access [0x17e, 0x182) outside allocated memory"},
+		{"straddles end by 3", d, 0x17f, "device: access [0x17f, 0x183) outside allocated memory"},
+		{"empty device", New(), 0x80, "device: access [0x80, 0x84) outside allocated memory"},
+	}
+	check := func(t *testing.T, want string, access func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			p := recover()
+			err, ok := p.(error)
+			var ae accessError
+			if !ok || !errors.As(err, &ae) {
+				t.Fatalf("panic value %#v, want an accessError", p)
+			}
+			if err.Error() != want {
+				t.Errorf("message %q, want %q", err.Error(), want)
+			}
+		}()
+		access()
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			check(t, c.want, func() { c.d.Float32(c.addr) })
+			check(t, c.want, func() { c.d.SetFloat32(c.addr, 1) })
+		})
+	}
+
+	// The first and last words in range, aligned or not, are accessible.
+	for _, addr := range []uint64{r.Addr, r.Addr + 1, r.End() - 5, r.End() - 4} {
+		d.SetFloat32(addr, 2.5)
+		if got := d.Float32(addr); got != 2.5 {
+			t.Errorf("Float32(%#x) = %v after SetFloat32 2.5", addr, got)
+		}
+	}
+	// The error-returning accessors report the same error type.
+	var ae accessError
+	if _, err := d.Bytes(r.End(), 1); !errors.As(err, &ae) || err.Error() != "device: access [0x180, 0x181) outside allocated memory" {
+		t.Errorf("Bytes past the end: %v", err)
+	}
+}
+
+// BenchmarkDeviceF32 measures the kernels' element access, an At and a Set
+// per element over a 64 KiB region, in ns per element.
+func BenchmarkDeviceF32(b *testing.B) {
+	d := New()
+	r, err := d.Malloc("bench", 64<<10, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := d.F32View(r)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < v.Len(); j++ {
+			v.Set(j, v.At(j)+1)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*v.Len()), "ns/element")
 }
 
 func TestRegionOf(t *testing.T) {

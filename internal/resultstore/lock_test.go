@@ -117,7 +117,7 @@ func TestStaleLockDeadHolderTakeover(t *testing.T) {
 		t.Fatalf("takeover was not logged; log lines: %q", logged)
 	}
 
-	if _, hit, err := s.GetBytes(key); err != nil || !hit {
+	if _, hit, err := getBytes(s, key); err != nil || !hit {
 		t.Fatalf("record written after takeover not readable: hit=%v err=%v", hit, err)
 	}
 }

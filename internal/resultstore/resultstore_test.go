@@ -2,12 +2,30 @@ package resultstore
 
 import (
 	"bytes"
+	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 )
+
+// getBytes reads a record's raw payload through Get.
+func getBytes(s *Store, k Key) (payload []byte, ok bool, err error) {
+	ok, err = s.Get(k, func(p []byte) error { payload = p; return nil })
+	return payload, ok, err
+}
+
+// getJSON decodes a JSON record into v through Get.
+func getJSON(s *Store, k Key, v any) (bool, error) {
+	return s.Get(k, func(p []byte) error { return json.Unmarshal(p, v) })
+}
+
+// getGob decodes a gob record into v through Get.
+func getGob(s *Store, k Key, v any) (bool, error) {
+	return s.Get(k, func(p []byte) error { return gob.NewDecoder(bytes.NewReader(p)).Decode(v) })
+}
 
 func openTestStore(t *testing.T, opts Options) *Store {
 	t.Helper()
@@ -105,14 +123,14 @@ func TestStoreRoundTripAndStats(t *testing.T) {
 	want := rec{"tp", []float64{1.5, -0.25, 3e-300}}
 
 	var missed rec
-	if ok, err := s.GetJSON(key, &missed); err != nil || ok {
+	if ok, err := getJSON(s, key, &missed); err != nil || ok {
 		t.Fatalf("get before put: ok=%v err=%v", ok, err)
 	}
 	if err := s.PutJSON(key, "cell", want); err != nil {
 		t.Fatal(err)
 	}
 	var got rec
-	if ok, err := s.GetJSON(key, &got); err != nil || !ok {
+	if ok, err := getJSON(s, key, &got); err != nil || !ok {
 		t.Fatalf("get after put: ok=%v err=%v", ok, err)
 	} else if got.Name != want.Name || len(got.Vals) != 3 || got.Vals[2] != want.Vals[2] {
 		t.Errorf("round trip mangled record: %+v", got)
@@ -124,7 +142,7 @@ func TestStoreRoundTripAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	var gout []float64
-	if ok, err := s.GetGob(gkey, &gout); err != nil || !ok {
+	if ok, err := getGob(s, gkey, &gout); err != nil || !ok {
 		t.Fatalf("gob get: ok=%v err=%v", ok, err)
 	}
 	for i := range golden {
@@ -175,7 +193,7 @@ func TestCorruptRecordsAreMissesNotTrusted(t *testing.T) {
 				t.Fatal(err)
 			}
 			var out struct{ Name string }
-			ok, err := s.GetJSON(key, &out)
+			ok, err := getJSON(s, key, &out)
 			if err != nil {
 				t.Fatalf("corrupt record returned error instead of miss: %v", err)
 			}
@@ -192,7 +210,7 @@ func TestCorruptRecordsAreMissesNotTrusted(t *testing.T) {
 			if err := s.PutBytes(key, "cell", "json", payload); err != nil {
 				t.Fatal(err)
 			}
-			if ok, err := s.GetJSON(key, &out); err != nil || !ok || out.Name != "good" {
+			if ok, err := getJSON(s, key, &out); err != nil || !ok || out.Name != "good" {
 				t.Fatalf("recompute-then-reread failed: ok=%v err=%v out=%+v", ok, err, out)
 			}
 		})
@@ -208,7 +226,7 @@ func TestUndecodableJSONIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out struct{ Name string }
-	if ok, err := s.GetJSON(key, &out); err != nil || ok {
+	if ok, err := getJSON(s, key, &out); err != nil || ok {
 		t.Fatalf("undecodable payload: ok=%v err=%v", ok, err)
 	}
 	// The counters must reflect that the caller will recompute: a decode
@@ -239,7 +257,7 @@ func TestLRUGC(t *testing.T) {
 	// recent three. The early puts must be gone, the last must survive.
 	var survivors int
 	for _, k := range keys {
-		if _, ok, err := s.GetBytes(k); err != nil {
+		if _, ok, err := getBytes(s, k); err != nil {
 			t.Fatal(err)
 		} else if ok {
 			survivors++
@@ -248,10 +266,10 @@ func TestLRUGC(t *testing.T) {
 	if survivors == 0 || survivors >= 8 {
 		t.Errorf("LRU GC kept %d of 8 records under a 600-byte cap", survivors)
 	}
-	if _, ok, _ := s.GetBytes(keys[len(keys)-1]); !ok {
+	if _, ok, _ := getBytes(s, keys[len(keys)-1]); !ok {
 		t.Error("most recent record was evicted")
 	}
-	if _, ok, _ := s.GetBytes(keys[0]); ok {
+	if _, ok, _ := getBytes(s, keys[0]); ok {
 		t.Error("least recent record survived past the cap")
 	}
 }
@@ -265,7 +283,7 @@ func TestClear(t *testing.T) {
 	if err := s.Clear(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := s.GetBytes(k); err != nil || ok {
+	if _, ok, err := getBytes(s, k); err != nil || ok {
 		t.Fatalf("record survived Clear: ok=%v err=%v", ok, err)
 	}
 	if err := s.PutBytes(k, "cell", "bin", []byte("data")); err != nil {
@@ -292,7 +310,7 @@ func TestReconcileRebuildsIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok, err := s2.GetBytes(k); err != nil || !ok || string(got) != "payload" {
+	if got, ok, err := getBytes(s2, k); err != nil || !ok || string(got) != "payload" {
 		t.Fatalf("orphaned object lost after reindex: ok=%v err=%v", ok, err)
 	}
 }
@@ -331,7 +349,7 @@ func TestConcurrentStoresShareDirectory(t *testing.T) {
 						errs <- err
 						return
 					}
-					got, ok, err := s.GetBytes(k)
+					got, ok, err := getBytes(s, k)
 					if err != nil {
 						errs <- err
 						return
@@ -354,7 +372,7 @@ func TestConcurrentStoresShareDirectory(t *testing.T) {
 	c := open()
 	for i := 0; i < keys; i++ {
 		k, _ := c.Key("cell", Material{"i": i})
-		got, ok, err := c.GetBytes(k)
+		got, ok, err := getBytes(c, k)
 		if err != nil || !ok || !bytes.Equal(got, payloadFor(i)) {
 			t.Fatalf("key %d after concurrent writes: ok=%v err=%v got=%q", i, ok, err, got)
 		}

@@ -132,8 +132,8 @@ func TestStoreSkipsRetrainAcrossCores(t *testing.T) {
 	dir := t.TempDir()
 	data := testData(4)
 	// compressOn runs one e2mc request on a fresh core over the store in
-	// dir and returns the core's table counters.
-	compressOn := func() TableStats {
+	// dir and returns the core's table counters and its store's counters.
+	compressOn := func() (TableStats, resultstore.Stats) {
 		t.Helper()
 		st, err := resultstore.Open(dir, resultstore.Options{})
 		if err != nil {
@@ -146,12 +146,12 @@ func TestStoreSkipsRetrainAcrossCores(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return core.Tables.Stats()
+		return core.Tables.Stats(), st.Stats()
 	}
-	if s := compressOn(); s.Retrains != 1 {
+	if s, _ := compressOn(); s.Retrains != 1 {
 		t.Fatalf("cold core retrained %d times, want 1", s.Retrains)
 	}
-	s := compressOn()
+	s, _ := compressOn()
 	if s.Retrains != 0 {
 		t.Fatalf("warm core retrained %d times, want 0 (table is on disk)", s.Retrains)
 	}
@@ -174,7 +174,8 @@ func TestStoreSkipsRetrainAcrossCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, ok, err := st.GetBytes(key)
+	var rec []byte
+	ok, err := st.Get(key, func(p []byte) error { rec = p; return nil })
 	if err != nil || !ok {
 		t.Fatalf("table record missing from the store (ok=%v, err=%v)", ok, err)
 	}
@@ -182,19 +183,23 @@ func TestStoreSkipsRetrainAcrossCores(t *testing.T) {
 	if err := st.PutBytes(key, kindTable, "bin", v2); err != nil {
 		t.Fatal(err)
 	}
-	if s := compressOn(); s.Retrains != 1 || s.DiskHits != 0 {
+	// The store counts the stale record as the miss it is: the core
+	// retrained, so no hit, and the record is dropped as bad.
+	s, ss := compressOn()
+	if s.Retrains != 1 || s.DiskHits != 0 {
 		t.Fatalf("core over a v2 record: retrains %d, disk hits %d; want 1, 0", s.Retrains, s.DiskHits)
 	}
-	rec, ok, err = st.GetBytes(key)
-	if err != nil || !ok {
-		t.Fatalf("retrained table record missing (ok=%v, err=%v)", ok, err)
+	if ss.Hits != 0 || ss.Misses != 1 || ss.BadRecords != 1 {
+		t.Fatalf("store over a v2 record: hits %d, misses %d, bad records %d; want 0, 1, 1",
+			ss.Hits, ss.Misses, ss.BadRecords)
 	}
 	var tab e2mc.Table
-	if err := tab.UnmarshalBinary(rec); err != nil {
-		t.Fatalf("rewritten table record does not decode: %v", err)
+	if ok, err := st.Get(key, tab.UnmarshalBinary); err != nil || !ok {
+		t.Fatalf("retrained table record missing or undecodable (ok=%v, err=%v)", ok, err)
 	}
-	if s := compressOn(); s.Retrains != 0 || s.DiskHits != 1 {
-		t.Fatalf("core after the rewrite: retrains %d, disk hits %d; want 0, 1", s.Retrains, s.DiskHits)
+	if s, ss := compressOn(); s.Retrains != 0 || s.DiskHits != 1 || ss.Hits != 1 || ss.Misses != 0 {
+		t.Fatalf("core after the rewrite: retrains %d, disk hits %d, store hits %d, misses %d; want 0, 1, 1, 0",
+			s.Retrains, s.DiskHits, ss.Hits, ss.Misses)
 	}
 }
 

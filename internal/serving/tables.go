@@ -94,15 +94,14 @@ func (c *TableCache) Table(w workloads.Workload) (*e2mc.Table, error) {
 			}
 		}
 		if usable {
-			if payload, hit, err := st.GetBytes(key); err != nil {
+			// A record undecodable under the current wire format is a
+			// miss: the store drops it and the train below rewrites it.
+			var tab e2mc.Table
+			if hit, err := st.Get(key, tab.UnmarshalBinary); err != nil {
 				return nil, fmt.Errorf("table %s: store: %w", name, err)
 			} else if hit {
-				var tab e2mc.Table
-				if uerr := tab.UnmarshalBinary(payload); uerr == nil {
-					c.diskHits.Add(1)
-					return &tab, nil
-				}
-				// Undecodable under the current wire format: recompute.
+				c.diskHits.Add(1)
+				return &tab, nil
 			}
 		}
 		c.progress("training table: %s", name)
