@@ -19,14 +19,17 @@
 // dump of every executed cell — the format the bench trajectory is
 // recorded in.
 //
-// -matrix NAME runs a named subset of the evaluation matrix (registered in
-// internal/experiments; -list-matrix prints the set with descriptions) —
-// e.g. `smoke` is CI's every-push slice, `new-codecs` covers the post-paper
-// codec families (lz4b, zcd) and `float-workloads` runs the HPC float fields
-// under the sz error-bounded family against lossless comparators. -bound
-// overrides the error bound of any error-bounded (sz) cells in the selected
-// subset. The text output is one line per cell; with -json the subset is
-// emitted as a trajectory like any other target.
+// Every target is one entry of the evaluation table in internal/experiments:
+// -fig N is entry figN, -table N is tableN, -ablations and -all are the
+// entries of those names, and -matrix NAME selects any entry by name
+// (-list-matrix prints them with descriptions). Besides the paper's
+// artefacts the table holds named cell subsets: e.g. `smoke` is CI's
+// every-push slice, `new-codecs` covers the post-paper codec families (lz4b,
+// zcd) and `float-workloads` runs the HPC float fields under the sz
+// error-bounded family against lossless comparators. -bound overrides the
+// error bound of any error-bounded (sz) cells in the selected entry. A
+// subset without a figure of its own prints one line per cell; with -json
+// every entry with cells is emitted as a trajectory.
 //
 // -store DIR persists memoised results (golden runs, entropy tables, cell
 // measurements) to a content-addressed store in DIR; a second identical
@@ -42,15 +45,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 
 	"repro/internal/cliio"
-	"repro/internal/compress"
 	"repro/internal/experiments"
-	"repro/internal/gpu/sim"
 	"repro/internal/profileflag"
 	"repro/internal/storeflag"
 )
@@ -161,176 +165,92 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				st.Dir(), s.Hits, s.Misses, s.Puts)
 		}()
 	}
-	// The cells the selected target renders: full runs (timing + error) and
-	// compression-only sweeps.
-	var full, comp []experiments.Cell
-	var target string
+	// Every target flag names one entry of the evaluation table, and every
+	// entry goes down one path: warm its cells across the worker pool,
+	// collect them, then emit them as JSON or render them. The render reads
+	// only the collected cells, so the output is byte-identical for every
+	// -parallel.
+	var name, target string
+	var unknown error
 	switch {
 	case *all:
-		target = "all"
-		full = experiments.EvaluationCells()
-		comp = experiments.CompressionCells(compress.MAG32)
+		name = "all"
 	case *ablations:
-		target = "ablations"
-		full = experiments.AblationCells()
-	case *fig != 0:
-		target = fmt.Sprintf("fig%d", *fig)
-		full, comp = experiments.CellsForFigure(*fig)
-		if len(full)+len(comp) == 0 {
-			return fail(fmt.Errorf("unknown figure %d (have 1, 2, 7, 8, 9)", *fig))
-		}
-	case *matrix != "":
-		target = "matrix:" + *matrix
-		var merr error
-		full, comp, merr = experiments.MatrixCells(*matrix)
-		if merr != nil {
-			return fail(merr)
-		}
-	}
-	// -bound rewrites error-bounded cells to the requested bound; lossless
-	// and threshold-lossy cells are untouched, so it is a no-op on subsets
-	// without sz cells.
-	if full, err = experiments.WithErrorBound(full, *bound); err != nil {
-		return fail(err)
-	}
-	if comp, err = experiments.WithErrorBound(comp, *bound); err != nil {
-		return fail(err)
-	}
-
-	// Warm the runner's memo across a worker pool; the output below then
-	// reads memoised results and is byte-identical to a serial run.
-	// (-table targets render static configuration tables; there is nothing
-	// to parallelise.)
-	if *parallel != 1 || *asJSON || *matrix != "" {
-		if len(full) > 0 {
-			if _, err := r.RunAll(full, *parallel); err != nil {
-				return fail(err)
-			}
-		}
-		if len(comp) > 0 {
-			if err := r.CompressAll(comp, *parallel); err != nil {
-				return fail(err)
-			}
-		}
-	}
-
-	if *asJSON {
-		if target == "" {
-			return fail(fmt.Errorf("-json needs -all, -fig, -ablations or -matrix"))
-		}
-		if err := emitJSON(w, r, target, full, comp); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	switch {
-	case *all:
-		if err := experiments.Report(w, r); err != nil {
-			return fail(err)
-		}
-	case *ablations:
-		ab, err := experiments.RunAblations(r)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprint(w, ab)
+		name = "ablations"
 	case *table != 0:
-		switch *table {
-		case 1:
-			fmt.Fprint(w, experiments.TableI())
-		case 2:
-			fmt.Fprint(w, experiments.TableII(sim.DefaultConfig()))
-		case 3:
-			fmt.Fprint(w, experiments.TableIII())
-		default:
-			return fail(fmt.Errorf("unknown table %d (have 1, 2, 3)", *table))
-		}
+		name = fmt.Sprintf("table%d", *table)
+		unknown = fmt.Errorf("unknown table %d (have %s)", *table, numbered("table"))
 	case *fig != 0:
-		if err := runFigure(w, r, *fig); err != nil {
-			return fail(err)
-		}
+		name = fmt.Sprintf("fig%d", *fig)
+		unknown = fmt.Errorf("unknown figure %d (have %s)", *fig, numbered("fig"))
 	case *matrix != "":
-		if err := printMatrix(w, r, *matrix, full, comp); err != nil {
-			return fail(err)
-		}
+		name, target = *matrix, "matrix:"+*matrix
+		unknown = fmt.Errorf("unknown matrix subset %q (available: %s)", *matrix, strings.Join(experiments.MatrixNames(), ", "))
+	case *asJSON:
+		return fail(errJSONTarget)
 	default:
 		fs.Usage()
 		return 2
 	}
+	m, ok := experiments.LookupMatrix(name)
+	if !ok {
+		return fail(unknown)
+	}
+	if target == "" {
+		target = name
+	}
+	if *asJSON && m.Cells == nil {
+		return fail(errJSONTarget)
+	}
+	traj, err := m.Evaluate(r, target, *parallel, *bound)
+	if err != nil {
+		return fail(err)
+	}
+	switch {
+	case *asJSON:
+		err = traj.WriteJSON(w)
+	case m.Render != nil:
+		var s fmt.Stringer
+		if s, err = m.Render(traj); err == nil {
+			fmt.Fprint(w, s)
+		}
+	default:
+		printMatrix(w, m, traj)
+	}
+	if err != nil {
+		return fail(err)
+	}
 	return 0
 }
 
-// emitJSON re-reads the memoised cells (warmed above) and writes the bench
-// trajectory, including the store's hit counters when one is attached.
-func emitJSON(w io.Writer, r *experiments.Runner, target string, full, comp []experiments.Cell) error {
-	traj, err := experiments.CollectTrajectory(r, target, full, comp)
-	if err != nil {
-		return err
+// errJSONTarget rejects -json without cells to emit.
+var errJSONTarget = errors.New("-json needs -all, -fig, -ablations or -matrix")
+
+// numbered lists the numbers N of the entries named prefix+N, e.g.
+// "1, 2, 7, 8, 9" for the figures.
+func numbered(prefix string) string {
+	var ns []string
+	for _, name := range experiments.MatrixNames() {
+		if n, ok := strings.CutPrefix(name, prefix); ok {
+			if _, err := strconv.Atoi(n); err == nil {
+				ns = append(ns, n)
+			}
+		}
 	}
-	return traj.WriteJSON(w)
+	return strings.Join(ns, ", ")
 }
 
-// printMatrix renders a named subset as one line per cell, reading the
-// memoised results warmed above (so the -parallel setting cannot change the
-// output).
-func printMatrix(w io.Writer, r *experiments.Runner, name string, full, comp []experiments.Cell) error {
-	m, _ := experiments.LookupMatrix(name)
-	fmt.Fprintf(w, "matrix %s: %s\n", name, m.Desc)
-	for _, c := range full {
-		res, err := r.Run(c.Workload, c.Config)
-		if err != nil {
-			return err
-		}
+// printMatrix renders an entry without a figure of its own as one line per
+// collected cell.
+func printMatrix(w io.Writer, m experiments.Matrix, traj *experiments.Trajectory) {
+	fmt.Fprintf(w, "matrix %s: %s\n", m.Name, m.Desc)
+	for _, res := range traj.Results {
 		fmt.Fprintf(w, "  %-6s × %-20s %10.1f µs  CR %.2f/%.2f  err %.4f%%\n",
 			res.Workload, res.Config.Name, res.Sim.TimeNs/1e3,
 			res.Comp.RawRatio(), res.Comp.EffectiveRatio(), res.ErrorFrac*100)
 	}
-	for _, c := range comp {
-		st, err := r.CompressionOnly(c.Workload, c.Config)
-		if err != nil {
-			return err
-		}
+	for _, res := range traj.Compression {
 		fmt.Fprintf(w, "  %-6s × %-20s compression only   CR %.2f/%.2f\n",
-			c.Workload.Info().Name, c.Config.Name, st.RawRatio(), st.EffectiveRatio())
+			res.Workload, res.Config.Name, res.Comp.RawRatio(), res.Comp.EffectiveRatio())
 	}
-	return nil
-}
-
-func runFigure(w io.Writer, r *experiments.Runner, fig int) error {
-	switch fig {
-	case 1:
-		f, err := experiments.Figure1(r, compress.MAG32)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, f)
-	case 2:
-		f, err := experiments.Figure2(r, compress.MAG32)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, f)
-	case 7:
-		f, err := experiments.Figure7(r)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, f)
-	case 8:
-		f, err := experiments.Figure8(r)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, f)
-	case 9:
-		f, err := experiments.Figure9(r)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, f)
-	default:
-		return fmt.Errorf("unknown figure %d (have 1, 2, 7, 8, 9)", fig)
-	}
-	return nil
 }

@@ -4,10 +4,11 @@
 //  1. resolve the named subset to cells (experiments.MatrixCells — the
 //     subset registry mirrors the codec registry, so `-matrix` names work
 //     here verbatim),
-//  2. attach a content-addressed result store and warm the cells across a
-//     worker pool (cold run: every cell is a store miss and is computed),
-//  3. collect the subset as a bench trajectory and emit the same JSON
-//     `slcbench -json` writes,
+//  2. attach a content-addressed result store, warm the cells across a
+//     worker pool and collect them as a bench trajectory (Matrix.Evaluate,
+//     the path every slcbench target takes; cold run: every cell is a
+//     store miss and is computed),
+//  3. emit the same JSON `slcbench -json` writes,
 //  4. run the identical subset again on a fresh Runner sharing the store
 //     (warm run: zero misses, nothing recomputed, identical trajectory).
 //
@@ -57,7 +58,7 @@ func main() {
 		defer os.RemoveAll(tmp)
 		*dir = tmp
 	}
-	traj := collect(*name, *dir, full, comp)
+	traj := collect(m, *dir)
 
 	// 3. The trajectory is the `slcbench -json` schema: cell results plus
 	//    the store's hit/miss counters.
@@ -71,33 +72,23 @@ func main() {
 	//    resolves as a disk hit and the result sections are bitwise
 	//    identical (the Store counters are the only difference, which is
 	//    why the Trajectory keeps them in a separate section).
-	warm := collect(*name, *dir, full, comp)
+	warm := collect(m, *dir)
 	fmt.Fprintf(os.Stderr, "warm run: %d store hits, %d misses\n", warm.Store.Hits, warm.Store.Misses)
 	if warm.Store.Misses != 0 {
 		log.Fatal("warm run recomputed cells — the store should have served everything")
 	}
 }
 
-// collect warms the subset's cells on a fresh Runner attached to the store
-// at dir and assembles the trajectory, as `slcbench -matrix` does.
-func collect(name, dir string, full, comp []experiments.Cell) *experiments.Trajectory {
+// collect evaluates the subset on a fresh Runner attached to the store at
+// dir, as `slcbench -matrix` does.
+func collect(m experiments.Matrix, dir string) *experiments.Trajectory {
 	r := experiments.NewRunner()
 	st, err := resultstore.Open(dir, resultstore.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	r.Store = st
-	if len(full) > 0 {
-		if _, err := r.RunAll(full, 0); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if len(comp) > 0 {
-		if err := r.CompressAll(comp, 0); err != nil {
-			log.Fatal(err)
-		}
-	}
-	traj, err := experiments.CollectTrajectory(r, "matrix:"+name, full, comp)
+	traj, err := m.Evaluate(r, "matrix:"+m.Name, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

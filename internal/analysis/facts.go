@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 	"sync"
 )
 
@@ -96,27 +95,6 @@ func (p *Pass) ImportPackageFact(path string, f Fact) bool {
 // hooks, which run without a Pass).
 func (s *FactStore) PackageFact(path string, f Fact) bool {
 	return s.getPackage(path, f)
-}
-
-// ObjectFact reads an object fact directly from the store.
-func (s *FactStore) ObjectFact(pkgPath, name string, f Fact) bool {
-	return s.getObject(pkgPath, name, f)
-}
-
-// PackagesWithFact returns the sorted paths of every package carrying a fact
-// of the same dynamic type as f.
-func (s *FactStore) PackagesWithFact(f Fact) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	typ := factType(f)
-	var paths []string
-	for k := range s.pkgs {
-		if k.typ == typ {
-			paths = append(paths, k.pkg)
-		}
-	}
-	sort.Strings(paths)
-	return paths
 }
 
 func (s *FactStore) putObject(pkg, name string, f Fact) {

@@ -160,14 +160,5 @@ func (r *BitReader) ReadBool() (bool, error) {
 // Pos returns the current bit position.
 func (r *BitReader) Pos() int { return r.pos }
 
-// Seek moves the read position to the absolute bit offset pos.
-func (r *BitReader) Seek(pos int) error {
-	if pos < 0 || pos > len(r.buf)*8 {
-		return fmt.Errorf("compress: seek to bit %d outside stream of %d bits", pos, len(r.buf)*8)
-	}
-	r.pos = pos
-	return nil
-}
-
 // Remaining returns the number of unread bits.
 func (r *BitReader) Remaining() int { return len(r.buf)*8 - r.pos }

@@ -62,9 +62,6 @@ func MustCodebook(weights []uint64, maxLen int) *Codebook {
 // Bits returns the codeword length of item in bits.
 func (cb *Codebook) Bits(item int) int { return int(cb.canon.lens[item]) }
 
-// MaxBits returns the longest codeword length in the book.
-func (cb *Codebook) MaxBits() int { return cb.maxLen }
-
 // Encode appends item's codeword to the bit stream.
 func (cb *Codebook) Encode(w *compress.BitWriter, item int) {
 	w.WriteBits(uint64(cb.canon.codes[item]), int(cb.canon.lens[item]))

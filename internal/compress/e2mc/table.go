@@ -43,8 +43,7 @@ const (
 // Trainer accumulates 16-bit symbol statistics from sampled blocks, standing
 // in for E2MC's online sampling phase (the paper samples 20 M instructions).
 type Trainer struct {
-	freq  []uint64 // indexed by symbol value
-	total uint64
+	freq []uint64 // indexed by symbol value
 }
 
 // NewTrainer returns an empty trainer.
@@ -56,12 +55,8 @@ func NewTrainer() *Trainer {
 func (t *Trainer) Sample(block []byte) {
 	for _, s := range compress.Symbols(block) {
 		t.freq[s]++
-		t.total++
 	}
 }
-
-// SampleCount returns the number of symbols sampled so far.
-func (t *Trainer) SampleCount() uint64 { return t.total }
 
 // Build constructs the Huffman table from the sampled statistics. maxSymbols
 // (including the escape entry) and maxLen bound the table size and codeword

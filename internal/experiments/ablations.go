@@ -30,22 +30,21 @@ type Ablations struct {
 	MDCMissesDefault  int
 }
 
-// RunAblations executes the sweeps. It reuses the runner's memoised cells
-// where possible; the threshold sweep covers all nine benchmarks.
-func RunAblations(r *Runner) (Ablations, error) {
-	a := Ablations{Thresholds: []int{4, 8, 16, 24, 32}}
+// ablationThresholds are the lossy thresholds of the sweep, in bytes.
+var ablationThresholds = []int{4, 8, 16, 24, 32}
 
+// AblationStudy reads the ablations from the collected cells. The MDC-size
+// ablation is the one measurement that is not a cell: it re-times NN ×
+// TSLC-OPT with a 16-line MDC on the trajectory's runner (RerunTiming) and
+// compares it with the collected default cell.
+func AblationStudy(t *Trajectory) (Ablations, error) {
+	cells := t.reader()
+	a := Ablations{Thresholds: ablationThresholds}
 	for _, tb := range a.Thresholds {
 		var sp, er, bw []float64
 		for _, w := range workloads.Registry() {
-			base, err := r.Run(w, E2MCConfig(compress.MAG32))
-			if err != nil {
-				return Ablations{}, err
-			}
-			res, err := r.Run(w, TSLCConfig(slc.OPT, compress.MAG32, tb*8))
-			if err != nil {
-				return Ablations{}, err
-			}
+			base := cells.run(w, E2MCConfig(compress.MAG32))
+			res := cells.run(w, TSLCConfig(slc.OPT, compress.MAG32, tb*8))
 			sp = append(sp, base.Sim.TimeNs/res.Sim.TimeNs)
 			er = append(er, res.ErrorFrac*100)
 			bw = append(bw, float64(res.Sim.DramBytes)/float64(base.Sim.DramBytes))
@@ -59,18 +58,9 @@ func RunAblations(r *Runner) (Ablations, error) {
 	if err != nil {
 		return Ablations{}, err
 	}
-	base, err := r.Run(dct, E2MCConfig(compress.MAG32))
-	if err != nil {
-		return Ablations{}, err
-	}
-	pred, err := r.Run(dct, TSLCConfig(slc.PRED, compress.MAG32, DefaultThresholdBits))
-	if err != nil {
-		return Ablations{}, err
-	}
-	opt, err := r.Run(dct, TSLCConfig(slc.OPT, compress.MAG32, DefaultThresholdBits))
-	if err != nil {
-		return Ablations{}, err
-	}
+	base := cells.run(dct, E2MCConfig(compress.MAG32))
+	pred := cells.run(dct, TSLCConfig(slc.PRED, compress.MAG32, DefaultThresholdBits))
+	opt := cells.run(dct, TSLCConfig(slc.OPT, compress.MAG32, DefaultThresholdBits))
 	a.ExtraNodesErrPct = [2]float64{pred.ErrorFrac * 100, opt.ErrorFrac * 100}
 	a.ExtraNodesSpeedup = [2]float64{
 		base.Sim.TimeNs / pred.Sim.TimeNs,
@@ -81,22 +71,19 @@ func RunAblations(r *Runner) (Ablations, error) {
 	if err != nil {
 		return Ablations{}, err
 	}
-	simp, err := r.Run(nn, TSLCConfig(slc.SIMP, compress.MAG32, DefaultThresholdBits))
-	if err != nil {
-		return Ablations{}, err
-	}
-	predNN, err := r.Run(nn, TSLCConfig(slc.PRED, compress.MAG32, DefaultThresholdBits))
-	if err != nil {
-		return Ablations{}, err
-	}
+	simp := cells.run(nn, TSLCConfig(slc.SIMP, compress.MAG32, DefaultThresholdBits))
+	predNN := cells.run(nn, TSLCConfig(slc.PRED, compress.MAG32, DefaultThresholdBits))
 	a.PredictionErrPct = [2]float64{simp.ErrorFrac * 100, predNN.ErrorFrac * 100}
 
 	cfg := TSLCConfig(slc.OPT, compress.MAG32, DefaultThresholdBits)
-	full, err := RerunTiming(r, nn, cfg, nil)
-	if err != nil {
-		return Ablations{}, err
+	full := cells.run(nn, cfg).Sim
+	if cells.err != nil {
+		return Ablations{}, cells.err
 	}
-	tiny, err := RerunTiming(r, nn, cfg, func(c *sim.Config) { c.MC.MDCLines = 16 })
+	if t.runner == nil {
+		return Ablations{}, fmt.Errorf("experiments: the MDC ablation needs the runner that collected trajectory %q", t.Target)
+	}
+	tiny, err := RerunTiming(t.runner, nn, cfg, func(c *sim.Config) { c.MC.MDCLines = 16 })
 	if err != nil {
 		return Ablations{}, err
 	}

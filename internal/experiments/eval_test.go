@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/compress"
 )
 
 // cellDigest is one line of the evaluation golden: a cell's memo key and an
@@ -46,22 +44,19 @@ func TestEvalGolden(t *testing.T) {
 	if raceEnabled {
 		t.Skip("whole evaluation under the race detector")
 	}
-	r := NewRunner()
-	full, comp := EvaluationCells(), CompressionCells(compress.MAG32)
-	if _, err := r.RunAll(full, 0); err != nil {
-		t.Fatal(err)
+	all, ok := LookupMatrix("all")
+	if !ok {
+		t.Fatal("no entry \"all\" in the evaluation table")
 	}
-	if err := r.CompressAll(comp, 0); err != nil {
-		t.Fatal(err)
-	}
-	traj, err := CollectTrajectory(r, "all", full, comp)
+	traj, err := all.Evaluate(NewRunner(), "all", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report bytes.Buffer
-	if err := Report(&report, r); err != nil {
+	rendered, err := all.Render(traj)
+	if err != nil {
 		t.Fatal(err)
 	}
+	report := bytes.NewBufferString(rendered.String())
 
 	var got []cellDigest
 	for _, res := range traj.Results {

@@ -41,18 +41,16 @@ type Fig1 struct {
 	GM   Fig1Row
 }
 
-// Figure1 runs the compression-only sweep.
-func Figure1(r *Runner, mag compress.MAG) (Fig1, error) {
-	f := Fig1{MAG: mag, GM: Fig1Row{Benchmark: "GM", Raw: map[string]float64{}, Eff: map[string]float64{}}}
+// Figure1 reads the compression-only sweep.
+func Figure1(t *Trajectory) (Fig1, error) {
+	cells := t.reader()
+	f := Fig1{MAG: compress.MAG32, GM: Fig1Row{Benchmark: "GM", Raw: map[string]float64{}, Eff: map[string]float64{}}}
 	rawCols := map[string][]float64{}
 	effCols := map[string][]float64{}
 	for _, w := range workloads.Registry() {
 		row := Fig1Row{Benchmark: w.Info().Name, Raw: map[string]float64{}, Eff: map[string]float64{}}
 		for _, c := range Fig1Codecs {
-			st, err := r.CompressionOnly(w, BaselineConfig(c.Codec, mag))
-			if err != nil {
-				return Fig1{}, err
-			}
+			st := cells.compression(w, BaselineConfig(c.Codec, f.MAG))
 			row.Raw[c.Label] = st.RawRatio()
 			row.Eff[c.Label] = st.EffectiveRatio()
 			rawCols[c.Label] = append(rawCols[c.Label], st.RawRatio())
@@ -64,7 +62,7 @@ func Figure1(r *Runner, mag compress.MAG) (Fig1, error) {
 		f.GM.Raw[c.Label] = stats.Geomean(rawCols[c.Label])
 		f.GM.Eff[c.Label] = stats.Geomean(effCols[c.Label])
 	}
-	return f, nil
+	return f, cells.err
 }
 
 // GapPct returns how far the effective GM sits below the raw GM for a codec,

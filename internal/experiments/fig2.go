@@ -22,14 +22,13 @@ type Fig2 struct {
 	Heat *stats.Heatmap
 }
 
-// Figure2 runs the compression-only sweep with E2MC.
-func Figure2(r *Runner, mag compress.MAG) (Fig2, error) {
+// Figure2 reads the E2MC cells of the compression-only sweep.
+func Figure2(t *Trajectory) (Fig2, error) {
+	cells := t.reader()
+	mag := compress.MAG32
 	f := Fig2{MAG: mag, Heat: stats.NewHeatmap(int(mag), 20)}
 	for _, w := range workloads.Registry() {
-		st, err := r.CompressionOnly(w, E2MCConfig(mag))
-		if err != nil {
-			return Fig2{}, err
-		}
+		st := cells.compression(w, E2MCConfig(mag))
 		pct := make([]float64, int(mag)+1)
 		for x, cnt := range st.AboveMAG {
 			if st.Blocks > 0 {
@@ -40,7 +39,7 @@ func Figure2(r *Runner, mag compress.MAG) (Fig2, error) {
 		f.Benchmarks = append(f.Benchmarks, w.Info().Name)
 		f.Pct = append(f.Pct, pct)
 	}
-	return f, nil
+	return f, cells.err
 }
 
 // FracAboveMultiple returns the fraction of blocks (averaged over

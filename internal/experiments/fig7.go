@@ -29,24 +29,19 @@ type Fig7 struct {
 	GMErrorPctOPT float64
 }
 
-// Figure7 runs the full pipeline for the baseline and the three variants.
-func Figure7(r *Runner) (Fig7, error) {
+// Figure7 reads the baseline and the three variants.
+func Figure7(t *Trajectory) (Fig7, error) {
+	cells := t.reader()
 	f := Fig7{
 		Speedup:   map[slc.Variant][]float64{},
 		ErrorPct:  map[slc.Variant][]float64{},
 		GMSpeedup: map[slc.Variant]float64{},
 	}
 	for _, w := range workloads.Registry() {
-		base, err := r.Run(w, E2MCConfig(compress.MAG32))
-		if err != nil {
-			return Fig7{}, err
-		}
+		base := cells.run(w, E2MCConfig(compress.MAG32))
 		f.Benchmarks = append(f.Benchmarks, w.Info().Name)
 		for _, v := range Fig7Variants {
-			res, err := r.Run(w, TSLCConfig(v, compress.MAG32, DefaultThresholdBits))
-			if err != nil {
-				return Fig7{}, err
-			}
+			res := cells.run(w, TSLCConfig(v, compress.MAG32, DefaultThresholdBits))
 			f.Speedup[v] = append(f.Speedup[v], base.Sim.TimeNs/res.Sim.TimeNs)
 			f.ErrorPct[v] = append(f.ErrorPct[v], res.ErrorFrac*100)
 		}
@@ -55,7 +50,7 @@ func Figure7(r *Runner) (Fig7, error) {
 		f.GMSpeedup[v] = stats.Geomean(f.Speedup[v])
 	}
 	f.GMErrorPctOPT = stats.Geomean(f.ErrorPct[slc.OPT])
-	return f, nil
+	return f, cells.err
 }
 
 // String renders both panels of the figure.

@@ -11,8 +11,7 @@ import (
 )
 
 // Fig8 reproduces Figure 8: off-chip bandwidth, energy and energy-delay
-// product of the TSLC variants normalised to E2MC. It reuses the Figure 7
-// runs (the runner memoises them).
+// product of the TSLC variants normalised to E2MC, over the Figure 7 cells.
 type Fig8 struct {
 	Benchmarks []string
 	Bandwidth  map[slc.Variant][]float64
@@ -24,7 +23,8 @@ type Fig8 struct {
 }
 
 // Figure8 computes the normalised metrics.
-func Figure8(r *Runner) (Fig8, error) {
+func Figure8(t *Trajectory) (Fig8, error) {
+	cells := t.reader()
 	f := Fig8{
 		Bandwidth: map[slc.Variant][]float64{},
 		Energy:    map[slc.Variant][]float64{},
@@ -34,16 +34,10 @@ func Figure8(r *Runner) (Fig8, error) {
 		GMEDP:     map[slc.Variant]float64{},
 	}
 	for _, w := range workloads.Registry() {
-		base, err := r.Run(w, E2MCConfig(compress.MAG32))
-		if err != nil {
-			return Fig8{}, err
-		}
+		base := cells.run(w, E2MCConfig(compress.MAG32))
 		f.Benchmarks = append(f.Benchmarks, w.Info().Name)
 		for _, v := range Fig7Variants {
-			res, err := r.Run(w, TSLCConfig(v, compress.MAG32, DefaultThresholdBits))
-			if err != nil {
-				return Fig8{}, err
-			}
+			res := cells.run(w, TSLCConfig(v, compress.MAG32, DefaultThresholdBits))
 			// DramBytes is data traffic only (metadata bursts are split
 			// into DramMetaBursts), so this ratio is the saved payload
 			// bandwidth; MDC metadata overhead shows up in time and energy.
@@ -60,7 +54,7 @@ func Figure8(r *Runner) (Fig8, error) {
 		f.GMEnergy[v] = stats.Geomean(f.Energy[v])
 		f.GMEDP[v] = stats.Geomean(f.EDP[v])
 	}
-	return f, nil
+	return f, cells.err
 }
 
 // String renders both panels.

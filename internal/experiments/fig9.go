@@ -27,8 +27,9 @@ type Fig9 struct {
 	RawCRGM float64
 }
 
-// Figure9 runs TSLC-OPT against E2MC at each granularity.
-func Figure9(r *Runner) (Fig9, error) {
+// Figure9 reads TSLC-OPT against E2MC at each granularity.
+func Figure9(t *Trajectory) (Fig9, error) {
+	cells := t.reader()
 	f := Fig9{
 		Speedup:   map[compress.MAG][]float64{},
 		ErrorPct:  map[compress.MAG][]float64{},
@@ -39,14 +40,8 @@ func Figure9(r *Runner) (Fig9, error) {
 	for _, mag := range Fig9MAGs {
 		var effCRs []float64
 		for _, w := range workloads.Registry() {
-			base, err := r.Run(w, E2MCConfig(mag))
-			if err != nil {
-				return Fig9{}, err
-			}
-			res, err := r.Run(w, TSLCConfig(slc.OPT, mag, mag.Bits()/2))
-			if err != nil {
-				return Fig9{}, err
-			}
+			base := cells.run(w, E2MCConfig(mag))
+			res := cells.run(w, TSLCConfig(slc.OPT, mag, mag.Bits()/2))
 			f.Speedup[mag] = append(f.Speedup[mag], base.Sim.TimeNs/res.Sim.TimeNs)
 			f.ErrorPct[mag] = append(f.ErrorPct[mag], res.ErrorFrac*100)
 			effCRs = append(effCRs, base.Comp.EffectiveRatio())
@@ -61,7 +56,7 @@ func Figure9(r *Runner) (Fig9, error) {
 		f.Benchmarks = append(f.Benchmarks, w.Info().Name)
 	}
 	f.RawCRGM = stats.Geomean(rawCRs)
-	return f, nil
+	return f, cells.err
 }
 
 // String renders both panels and the §V-C ratios.

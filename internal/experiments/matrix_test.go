@@ -27,7 +27,9 @@ func TestMatrixRegistryResolves(t *testing.T) {
 		if err != nil {
 			t.Fatalf("MatrixCells(%q): %v", name, err)
 		}
-		if len(full)+len(comp) == 0 {
+		// Only the tables, which render static configuration, have no
+		// cells.
+		if m, _ := LookupMatrix(name); len(full)+len(comp) == 0 && !strings.HasPrefix(m.Name, "table") {
 			t.Errorf("matrix subset %q resolves to no cells", name)
 		}
 		for _, c := range append(append([]Cell{}, full...), comp...) {
@@ -73,22 +75,39 @@ func TestMatrixSmokeCoversNewCodecs(t *testing.T) {
 	}
 }
 
-// TestRegisterMatrixValidates asserts the registration panics the same way
-// compress.Register does: subsets are wired at init time and a bad
-// registration should fail at program start, not at first use.
-func TestRegisterMatrixValidates(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
+// TestMatrixTableValid asserts every entry of the evaluation table has a
+// distinct, non-empty name and something to run or render, and that `all`
+// renders every figure and table entry: a duplicate name would shadow the
+// later entry in LookupMatrix.
+func TestMatrixTableValid(t *testing.T) {
+	seen := make(map[string]bool)
+	for _, m := range matrices {
+		if m.Name == "" || seen[m.Name] {
+			t.Errorf("entry name %q is empty or repeated", m.Name)
+		}
+		seen[m.Name] = true
+		if m.Cells == nil && m.Render == nil {
+			t.Errorf("entry %q has neither cells nor a render", m.Name)
+		}
 	}
-	mustPanic("empty name", func() { RegisterMatrix(Matrix{Cells: func() ([]Cell, []Cell) { return nil, nil }}) })
-	mustPanic("nil Cells", func() { RegisterMatrix(Matrix{Name: "broken"}) })
-	mustPanic("duplicate", func() {
-		RegisterMatrix(Matrix{Name: "smoke", Cells: func() ([]Cell, []Cell) { return nil, nil }})
-	})
+	var parts []string
+	for _, m := range reportEntries() {
+		parts = append(parts, m.Name)
+	}
+	want := "table2 table3 table1 fig1 fig2 fig7 fig8 fig9 ablations"
+	if got := strings.Join(parts, " "); got != want {
+		t.Errorf("the all report renders %q, want %q", got, want)
+	}
+}
+
+// TestRenderReportsMissingCell asserts a render of a trajectory that lacks
+// its cells fails naming a cell, instead of printing zeros.
+func TestRenderReportsMissingCell(t *testing.T) {
+	_, err := Figure7(&Trajectory{Target: "empty"})
+	if err == nil || !strings.Contains(err.Error(), "E2MC@32B") {
+		t.Fatalf("Figure7 of an empty trajectory: err %v, want a missing E2MC@32B cell", err)
+	}
+	if _, err := Figure1(&Trajectory{Target: "empty"}); err == nil {
+		t.Fatal("Figure1 of an empty trajectory succeeded")
+	}
 }

@@ -9,11 +9,11 @@
 // compute once while the rest wait), and RunAll fans an evaluation matrix
 // across a worker pool with results identical to serial execution.
 //
-// Beyond the paper's figures, the package defines named subsets of the
-// evaluation matrix (RegisterMatrix/MatrixCells, the `slcbench -matrix`
-// registry) and the Trajectory type — the `slcbench -json` schema CI
-// records on every push, pinned byte-for-byte by the golden fixture under
-// testdata/.
+// Every figure, table and named subset of the evaluation matrix is one
+// entry of the evaluation table (matrix.go): a cell list and, for the
+// paper's artefacts, a pure render of the collected cells. The Trajectory
+// type holds collected cells; it is the `slcbench -json` schema CI records
+// on every push, pinned by the golden fixtures under testdata/.
 package experiments
 
 import (
@@ -153,8 +153,8 @@ type RunResult struct {
 }
 
 // cellKey is the memoisation key of one evaluation cell; Run,
-// CompressionOnly (with a "|comp" suffix) and EvaluationCells' dedup all
-// derive from it.
+// CompressionOnly (with a "|comp" suffix), the `all` entry's dedup and the
+// renders' trajectory lookups all derive from it.
 func cellKey(workload string, cfg Config) string { return workload + "|" + cfg.Name }
 
 // Runner executes and memoises evaluation cells. The zero value is not
@@ -460,110 +460,15 @@ func (r *Runner) forEachCell(workers int, fn func(int) error, cells []Cell, errs
 	wg.Wait()
 }
 
-// CellsForFigure returns the cells one figure renders — full-run cells to
-// warm with RunAll and compression-only cells to warm with CompressAll.
-// Keep this in sync when adding a figure, so `slcbench -fig N -parallel`
-// keeps covering it. Unknown figures return nothing.
-func CellsForFigure(fig int) (full, comp []Cell) {
-	switch fig {
-	case 1, 2:
-		comp = CompressionCells(compress.MAG32)
-	case 7, 8:
-		full = Fig7Cells()
-	case 9:
-		full = Fig9Cells()
-	}
-	return full, comp
-}
-
-// CompressionCells returns the compression-only cells of Figures 1 and 2:
-// every workload under each Figure 1 codec at the given MAG (Figure 2 reads
-// the E2MC cells). Warm them with CompressAll.
-func CompressionCells(mag compress.MAG) []Cell {
-	var cells []Cell
-	for _, w := range workloads.Registry() {
-		for _, c := range Fig1Codecs {
-			cells = append(cells, Cell{w, BaselineConfig(c.Codec, mag)})
-		}
-	}
-	return cells
-}
-
-// Fig7Cells returns the full-run cells behind Figures 7 and 8: every
-// workload × (the E2MC baseline and the three TSLC variants) at 32 B MAG
-// with the default threshold. Prefetching these with RunAll warms the
-// runner's memo, so a subsequent Figure7/Figure8 renders from cache.
-func Fig7Cells() []Cell {
-	var cells []Cell
-	for _, w := range workloads.Registry() {
-		cells = append(cells, Cell{w, E2MCConfig(compress.MAG32)})
-		for _, v := range Fig7Variants {
-			cells = append(cells, Cell{w, TSLCConfig(v, compress.MAG32, DefaultThresholdBits)})
-		}
-	}
-	return cells
-}
-
-// Fig9Cells returns the MAG-sensitivity cells of Figure 9: E2MC and
-// TSLC-OPT at 16, 32 and 64 B MAG for every workload.
-func Fig9Cells() []Cell {
-	var cells []Cell
-	for _, w := range workloads.Registry() {
-		for _, mag := range []compress.MAG{compress.MAG16, compress.MAG32, compress.MAG64} {
-			cells = append(cells, Cell{w, E2MCConfig(mag)})
-			cells = append(cells, Cell{w, TSLCConfig(slc.OPT, mag, mag.Bits()/2)})
-		}
-	}
-	return cells
-}
-
-// AblationCells returns the cells RunAblations executes: the threshold
-// sweep over every workload plus the PRED/SIMP comparison cells.
-func AblationCells() []Cell {
-	var cells []Cell
-	for _, w := range workloads.Registry() {
-		cells = append(cells, Cell{w, E2MCConfig(compress.MAG32)})
-		for _, tb := range []int{4, 8, 16, 24, 32} {
-			cells = append(cells, Cell{w, TSLCConfig(slc.OPT, compress.MAG32, tb*8)})
-		}
-	}
-	// The extra-node ablation needs PRED on DCT; the prediction-policy
-	// ablation needs SIMP and PRED on NN (OPT@t16B is in the sweep above).
-	if dct, err := workloads.ByName("DCT"); err == nil {
-		cells = append(cells, Cell{dct, TSLCConfig(slc.PRED, compress.MAG32, DefaultThresholdBits)})
-	}
-	if nn, err := workloads.ByName("NN"); err == nil {
-		cells = append(cells, Cell{nn, TSLCConfig(slc.SIMP, compress.MAG32, DefaultThresholdBits)})
-		cells = append(cells, Cell{nn, TSLCConfig(slc.PRED, compress.MAG32, DefaultThresholdBits)})
-	}
-	return cells
-}
-
-// EvaluationCells returns the union of every full-run cell the report
-// executes (Figures 7, 8, 9 and the ablations), deduplicated by cell key.
-func EvaluationCells() []Cell {
-	var cells []Cell
-	seen := make(map[string]bool)
-	for _, c := range append(append(Fig7Cells(), Fig9Cells()...), AblationCells()...) {
-		key := cellKey(c.Workload.Info().Name, c.Config)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		cells = append(cells, c)
-	}
-	return cells
-}
-
 // RunnerCodecs exposes the runner's codec construction (including table
 // training) to external tools such as slctrace.
 func RunnerCodecs(r *Runner, w workloads.Workload, cfg Config) (lossless, lossy compress.Codec, err error) {
 	return r.codecs(w, cfg)
 }
 
-// RerunTiming re-simulates a previously executed configuration with a
-// modified simulator configuration; used by calibration experiments and
-// ablations.
+// RerunTiming re-simulates a configuration with a modified simulator
+// configuration: the MDC-size ablation, the one measurement of the
+// evaluation that is not a cell.
 func RerunTiming(r *Runner, w workloads.Workload, cfg Config, mod func(*sim.Config)) (sim.Result, error) {
 	lossless, lossy, err := r.codecs(w, cfg)
 	if err != nil {

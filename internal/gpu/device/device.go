@@ -206,10 +206,10 @@ func (d *Device) ReadFloats32(r Region, n int) ([]float32, error) {
 }
 
 // F32 is a typed view over a region, the device-side array a kernel indexes.
-// At and Set inline whole into the kernels' inner loops, Float32's and
-// SetFloat32's bounds check included, and each inlined call copies the
-// view. So it keeps only the region's base address and length, not the
-// Region with its name and flags, and stays three words.
+// At and Set inline whole into the kernels' inner loops, their bounds check
+// included, and each inlined call copies the view. So it keeps only the
+// region's base address and length, not the Region with its name and flags,
+// and stays three words.
 type F32 struct {
 	d    *Device
 	addr uint64
@@ -222,11 +222,24 @@ func (d *Device) F32View(r Region) F32 { return F32{d: d, addr: r.Addr, n: r.Siz
 // Len returns the number of float32 elements.
 func (v F32) Len() int { return v.n }
 
-// At returns element i.
-func (v F32) At(i int) float32 { return v.d.Float32(v.addr + uint64(i)*4) }
+// At returns element i. It panics with an accessError if i lies outside
+// [0, Len()): the check is against the view, not the device, so an index
+// past the end cannot read the next region. A view lies inside allocated
+// memory, so this one check covers the device bounds too.
+func (v F32) At(i int) float32 {
+	if uint(i) >= uint(v.n) {
+		panic(accessError{v.Addr(i), 4})
+	}
+	return math.Float32frombits(binary.LittleEndian.Uint32(v.d.mem[v.addr-baseAddr+uint64(i)*4:]))
+}
 
-// Set writes element i.
-func (v F32) Set(i int, x float32) { v.d.SetFloat32(v.addr+uint64(i)*4, x) }
+// Set writes element i, with At's bounds check.
+func (v F32) Set(i int, x float32) {
+	if uint(i) >= uint(v.n) {
+		panic(accessError{v.Addr(i), 4})
+	}
+	binary.LittleEndian.PutUint32(v.d.mem[v.addr-baseAddr+uint64(i)*4:], math.Float32bits(x))
+}
 
 // Addr returns the device address of element i.
 func (v F32) Addr(i int) uint64 { return v.addr + uint64(i)*4 }

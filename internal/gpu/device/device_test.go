@@ -72,6 +72,44 @@ func TestFloatAccessors(t *testing.T) {
 	}
 }
 
+// TestF32ViewBounds pins that a view's accessors check the view, not the
+// device: with regions a and b adjacent, index a.Len() of a's view is b's
+// first element, and reading or writing it must panic rather than alias b.
+func TestF32ViewBounds(t *testing.T) {
+	d := New()
+	ra, _ := d.Malloc("a", 128, false)
+	rb, _ := d.Malloc("b", 128, false)
+	a, b := d.F32View(ra), d.F32View(rb)
+	if a.Addr(a.Len()) != b.Addr(0) {
+		t.Fatalf("regions not adjacent: a ends at %#x, b starts at %#x", a.Addr(a.Len()), b.Addr(0))
+	}
+	b.Set(0, 9)
+	for _, i := range []int{-1, a.Len(), a.Len() + 1} {
+		want := accessError{a.Addr(i), 4}.Error()
+		mustPanic := func(op string, access func()) {
+			t.Helper()
+			defer func() {
+				t.Helper()
+				err, ok := recover().(error)
+				var ae accessError
+				if !ok || !errors.As(err, &ae) || err.Error() != want {
+					t.Errorf("%s(%d): panic %v, want %q", op, i, err, want)
+				}
+			}()
+			access()
+		}
+		mustPanic("At", func() { a.At(i) })
+		mustPanic("Set", func() { a.Set(i, 1) })
+	}
+	if got := b.At(0); got != 9 {
+		t.Errorf("b[0] = %v after out-of-view writes through a, want 9", got)
+	}
+	a.Set(a.Len()-1, 4)
+	if got := a.At(a.Len() - 1); got != 4 {
+		t.Errorf("a[last] = %v, want 4", got)
+	}
+}
+
 func TestCopyAndReadFloats(t *testing.T) {
 	d := New()
 	r, _ := d.Malloc("x", 64*4, false)

@@ -116,9 +116,6 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// CodeFingerprint returns the fingerprint mixed into this store's keys.
-func (s *Store) CodeFingerprint() string { return s.fingerprint }
-
 // Stats returns a snapshot of the traffic counters.
 func (s *Store) Stats() Stats {
 	return Stats{
