@@ -1,12 +1,12 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -56,7 +56,7 @@ func TestEvalGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report := bytes.NewBufferString(rendered.String())
+	report := rendered.String()
 
 	var got []cellDigest
 	for _, res := range traj.Results {
@@ -85,7 +85,7 @@ func TestEvalGolden(t *testing.T) {
 		for _, f := range []struct {
 			path string
 			data []byte
-		}{{cellsPath, digests}, {reportPath, report.Bytes()}} {
+		}{{cellsPath, digests}, {reportPath, []byte(report)}} {
 			if err := os.WriteFile(f.path, f.data, 0o666); err != nil {
 				t.Fatal(err)
 			}
@@ -114,8 +114,19 @@ func TestEvalGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
-	if !bytes.Equal(report.Bytes(), wantReport) {
-		t.Errorf("-all report diverged from %s (%d vs %d bytes):\n%s",
-			reportPath, report.Len(), len(wantReport), report.String())
+	if report != string(wantReport) {
+		gotLines, wantLines := strings.Split(report, "\n"), strings.Split(string(wantReport), "\n")
+		i := 0
+		for i < len(gotLines) && i < len(wantLines) && gotLines[i] == wantLines[i] {
+			i++
+		}
+		line := func(ls []string) string {
+			if i < len(ls) {
+				return ls[i]
+			}
+			return "<end of report>"
+		}
+		t.Errorf("-all report diverged from %s at line %d:\n got: %s\nwant: %s",
+			reportPath, i+1, line(gotLines), line(wantLines))
 	}
 }
