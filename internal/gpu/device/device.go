@@ -118,6 +118,19 @@ func (e accessError) Error() string {
 	return fmt.Sprintf("device: access [%#x, %#x) outside allocated memory", e.addr, e.addr+uint64(e.n))
 }
 
+// viewError reports an F32 index outside its view, the n words from addr.
+// The index may well name allocated memory, a neighbouring region's, so it
+// gets its own wording rather than accessError's. Like accessError it is a
+// small value type, so that At and Set still inline.
+type viewError struct {
+	addr uint64
+	i, n int
+}
+
+func (e viewError) Error() string {
+	return fmt.Sprintf("device: index %d outside view [%#x, %#x)", e.i, e.addr, e.addr+4*uint64(e.n))
+}
+
 func (d *Device) index(addr uint64, n int) (int, error) {
 	if addr < baseAddr || addr+uint64(n) > d.next {
 		return 0, accessError{addr, n}
@@ -222,13 +235,13 @@ func (d *Device) F32View(r Region) F32 { return F32{d: d, addr: r.Addr, n: r.Siz
 // Len returns the number of float32 elements.
 func (v F32) Len() int { return v.n }
 
-// At returns element i. It panics with an accessError if i lies outside
+// At returns element i. It panics with a viewError if i lies outside
 // [0, Len()): the check is against the view, not the device, so an index
 // past the end cannot read the next region. A view lies inside allocated
 // memory, so this one check covers the device bounds too.
 func (v F32) At(i int) float32 {
 	if uint(i) >= uint(v.n) {
-		panic(accessError{v.Addr(i), 4})
+		panic(viewError{v.addr, i, v.n})
 	}
 	return math.Float32frombits(binary.LittleEndian.Uint32(v.d.mem[v.addr-baseAddr+uint64(i)*4:]))
 }
@@ -236,7 +249,7 @@ func (v F32) At(i int) float32 {
 // Set writes element i, with At's bounds check.
 func (v F32) Set(i int, x float32) {
 	if uint(i) >= uint(v.n) {
-		panic(accessError{v.Addr(i), 4})
+		panic(viewError{v.addr, i, v.n})
 	}
 	binary.LittleEndian.PutUint32(v.d.mem[v.addr-baseAddr+uint64(i)*4:], math.Float32bits(x))
 }

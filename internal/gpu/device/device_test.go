@@ -2,6 +2,7 @@ package device
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/compress"
@@ -75,6 +76,8 @@ func TestFloatAccessors(t *testing.T) {
 // TestF32ViewBounds pins that a view's accessors check the view, not the
 // device: with regions a and b adjacent, index a.Len() of a's view is b's
 // first element, and reading or writing it must panic rather than alias b.
+// The panic is a viewError naming the index and the view, not an
+// accessError: the word it would touch is allocated memory.
 func TestF32ViewBounds(t *testing.T) {
 	d := New()
 	ra, _ := d.Malloc("a", 128, false)
@@ -85,14 +88,14 @@ func TestF32ViewBounds(t *testing.T) {
 	}
 	b.Set(0, 9)
 	for _, i := range []int{-1, a.Len(), a.Len() + 1} {
-		want := accessError{a.Addr(i), 4}.Error()
+		want := fmt.Sprintf("device: index %d outside view [0x80, 0x100)", i)
 		mustPanic := func(op string, access func()) {
 			t.Helper()
 			defer func() {
 				t.Helper()
 				err, ok := recover().(error)
-				var ae accessError
-				if !ok || !errors.As(err, &ae) || err.Error() != want {
+				var ve viewError
+				if !ok || !errors.As(err, &ve) || err.Error() != want {
 					t.Errorf("%s(%d): panic %v, want %q", op, i, err, want)
 				}
 			}()

@@ -439,58 +439,59 @@ func (c *Core) Workers() int {
 // defaultWorkers is one worker per core (the experiments.Workers policy).
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// forBlocks fans block indices across the core's worker pool, checking ctx
-// between blocks. A panicking block — a hostile payload tripping a codec —
-// records a RequestError for its index rather than killing the daemon. The
-// returned error is the lowest-index failure, so concurrent execution
-// reports deterministically.
+// forBlocks runs fn over block indices [0, n) on the core's worker pool.
+// Like pipeline.Sync's parallel path, it gives each worker one contiguous
+// span of indices; the caller's goroutine runs the first span. A span stops
+// at its first failure, since every later index in it is higher, and the
+// returned error is the failure of the lowest-index span that failed: the
+// lowest-index failure overall, whatever the interleaving. A panicking block
+// — a hostile payload tripping a codec — is such a failure, a RequestError
+// for its index, rather than a daemon crash. Every span checks ctx between
+// blocks and stops with ctx's error once it is done. The check is a
+// non-blocking receive on ctx.Done(), which takes no lock, where ctx.Err()
+// would take the context's mutex from every worker on every block.
 func (c *Core) forBlocks(ctx context.Context, n int, fn func(i int) error) error {
-	workers := c.Workers()
-	if workers > n {
-		workers = n
+	workers := min(c.Workers(), n)
+	if workers <= 0 {
+		return nil
 	}
-	errs := make([]error, n)
-	run := func(i int) {
+	done := ctx.Done()
+	errs := make([]error, workers)
+	span := func(w, lo, hi int) {
+		i := lo
 		defer func() {
 			if r := recover(); r != nil {
-				errs[i] = badRequest("serving: block %d: invalid payload: %v", i, r)
+				errs[w] = badRequest("serving: block %d: invalid payload: %v", i, r)
 			}
 		}()
-		errs[i] = fn(i)
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			run(i)
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					run(i)
-				}
-			}()
-		}
-	feed:
-		for i := 0; i < n; i++ {
+		for ; i < hi; i++ {
 			select {
-			case next <- i:
-			case <-ctx.Done():
-				break feed
+			case <-done:
+				errs[w] = ctx.Err()
+				return
+			default:
+			}
+			if err := fn(i); err != nil {
+				errs[w] = err
+				return
 			}
 		}
-		close(next)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 	}
+	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		lo, hi := w*chunk, min((w+1)*chunk, n)
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			span(w, lo, hi)
+		}()
+	}
+	span(0, 0, chunk)
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -1,12 +1,14 @@
 package serving
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/compress"
@@ -15,6 +17,14 @@ import (
 // DefaultRequestTimeout bounds one request's work when the handler's
 // context carries no earlier deadline.
 const DefaultRequestTimeout = 30 * time.Second
+
+// MaxBodyBytes caps a POST body; a longer one is refused with 413 before it
+// is decoded. The densest body is a run of {"bits":0} blocks, 11 bytes each
+// that decode to 40-byte Block structs, so a body at the cap decodes to at
+// most 95 325 blocks: 3.8 MB of Block structs, and 12.2 MB of data if a
+// decompress request succeeds. A compress or evaluate body at the cap
+// carries 768 KiB of data (base64 is 4 bytes for 3).
+const MaxBodyBytes = 1 << 20
 
 // Handler serves the slcd HTTP API over a Core.
 //
@@ -63,9 +73,12 @@ type errorBody struct {
 // statusFor maps a Core error to its HTTP status.
 func statusFor(err error) int {
 	var reqErr *RequestError
+	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &reqErr):
 		return http.StatusBadRequest
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrSaturated):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
@@ -81,17 +94,68 @@ func statusFor(err error) int {
 	}
 }
 
-// writeJSON writes one JSON response with the given status.
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+// buffers holds the request and response body buffers, so a request's
+// read and its answer's encoding reuse memory instead of regrowing it.
+var buffers = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
+
+// readJSON reads a request body, capped at MaxBodyBytes, into a pooled
+// buffer and decodes it into v. A body over the cap is an
+// *http.MaxBytesError (413); one that does not read or decode as exactly one
+// JSON value is a RequestError (400).
+func readJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
+	buf := buffers.Get().(*bytes.Buffer)
+	defer buffers.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("serving: request body over the %d-byte cap: %w", MaxBodyBytes, err)
+		}
+		return badRequest("reading request: %v", err)
+	}
+	// Unmarshal copies every string and []byte out of buf, so buf can go
+	// back to the pool.
+	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
+		return badRequest("decoding request: %v", err)
+	}
+	return nil
+}
+
+// encodeJSON encodes v as one line of compact JSON into a pooled buffer. It
+// runs before the status line goes out, so a value that cannot be encoded
+// (a NaN ratio, say) becomes a 500 carrying the error envelope rather than a
+// 200 with a truncated body. It returns the buffer and the status to send.
+func encodeJSON(status int, v interface{}) (*bytes.Buffer, int) {
+	buf := buffers.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		json.NewEncoder(buf).Encode(errorBody{Error: fmt.Sprintf("encoding response: %v", err)}) //nolint:errcheck // a string field always encodes
+		status = http.StatusInternalServerError
+	}
+	return buf, status
+}
+
+// send writes an encoded body with its Content-Length in one write and
+// returns the buffer to the pool.
+func send(w http.ResponseWriter, status int, buf *bytes.Buffer) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // headers are out; nothing left to report to the client
+	w.Write(buf.Bytes()) //nolint:errcheck // the client is gone; nothing left to report to it
+	buffers.Put(buf)
+}
+
+// writeJSON writes v as one compact JSON response with the given status, or
+// a 500 if v cannot be encoded.
+func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	buf, status := encodeJSON(status, v)
+	send(w, status, buf)
 }
 
 // post adapts one typed Core method into an http.HandlerFunc: method check,
-// JSON decode, per-request timeout, error mapping and metrics.
+// capped JSON read, per-request timeout, error mapping and metrics.
 func post[Req any, Resp any](h *Handler, endpoint string, fn func(context.Context, *Req) (*Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -103,8 +167,8 @@ func post[Req any, Resp any](h *Handler, endpoint string, fn func(context.Contex
 		// rule stops at the transport layer.
 		start := time.Now() //slclint:allow determinism request latency measurement is inherently wall-clock
 		var req Req
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			h.finish(w, endpoint, http.StatusBadRequest, start, errorBody{Error: fmt.Sprintf("decoding request: %v", err)})
+		if err := readJSON(w, r, &req); err != nil {
+			h.finish(w, endpoint, statusFor(err), start, errorBody{Error: err.Error()})
 			return
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), h.timeout)
@@ -123,15 +187,17 @@ func post[Req any, Resp any](h *Handler, endpoint string, fn func(context.Contex
 	}
 }
 
-// finish writes the response and records the request metrics.
+// finish encodes the response, records the request metrics under the
+// status it will carry, then writes it.
 func (h *Handler) finish(w http.ResponseWriter, endpoint string, status int, start time.Time, body interface{}) {
+	buf, status := encodeJSON(status, body)
 	labels := `endpoint="` + endpoint + `",code="` + strconv.Itoa(status) + `"`
 	h.core.Metrics.Add("slcd_requests_total", labels, 1)
 	if !start.IsZero() {
 		elapsed := time.Since(start) //slclint:allow determinism request latency measurement is inherently wall-clock
 		h.core.Metrics.Observe("slcd_request_seconds", `endpoint="`+endpoint+`"`, elapsed.Seconds())
 	}
-	writeJSON(w, status, body)
+	send(w, status, buf)
 }
 
 // codecInfo is one row of the /v1/codecs listing.

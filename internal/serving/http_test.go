@@ -2,9 +2,13 @@ package serving
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -239,5 +243,152 @@ func TestHTTPRequestTimeoutIs504(t *testing.T) {
 	var eb errorBody
 	if err := json.Unmarshal(body, &eb); err != nil || !strings.Contains(eb.Error, "timeout") {
 		t.Fatalf("error body %q does not explain the timeout", body)
+	}
+}
+
+// postRaw sends body as-is and returns the answer with its headers.
+func postRaw(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, out
+}
+
+// TestHTTPAnswersAreCompactAndSized pins the response framing: every POST
+// answer is one line of compact JSON, exactly Content-Length bytes long, and
+// decodes to the value the direct Core call returns.
+func TestHTTPAnswersAreCompactAndSized(t *testing.T) {
+	core := newTestCore(0)
+	srv := newTestServer(t, core)
+	ctx := context.Background()
+	data := testData(8)
+	for _, tc := range []struct{ codec, profile string }{
+		{"bdi", ""},
+		{"e2mc", "TP"},
+		{"sz-lorenzo", ""},
+	} {
+		direct, err := core.Compress(ctx, &CompressRequest{Codec: tc.codec, Profile: tc.profile, Data: data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		directBack, err := core.Decompress(ctx, &DecompressRequest{Codec: tc.codec, Profile: tc.profile, Blocks: direct.Blocks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		directEval, err := core.Evaluate(ctx, &EvaluateRequest{Codec: tc.codec, Profile: tc.profile, Data: data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			endpoint  string
+			req, want interface{}
+			got       interface{}
+		}{
+			{"compress", &CompressRequest{Codec: tc.codec, Profile: tc.profile, Data: data}, direct, &CompressResponse{}},
+			{"decompress", &DecompressRequest{Codec: tc.codec, Profile: tc.profile, Blocks: direct.Blocks}, directBack, &DecompressResponse{}},
+			{"evaluate", &EvaluateRequest{Codec: tc.codec, Profile: tc.profile, Data: data}, directEval, &EvaluateResponse{}},
+		} {
+			body, err := json.Marshal(c.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, out := postRaw(t, srv.URL+"/v1/"+c.endpoint, body)
+			name := tc.codec + " " + c.endpoint
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: %d: %s", name, resp.StatusCode, out)
+			}
+			if resp.ContentLength != int64(len(out)) {
+				t.Errorf("%s: Content-Length %d for a %d-byte body", name, resp.ContentLength, len(out))
+			}
+			if bytes.IndexByte(out, '\n') != len(out)-1 {
+				t.Errorf("%s: answer is not one newline-terminated line", name)
+			}
+			var compact bytes.Buffer
+			if err := json.Compact(&compact, out); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !bytes.Equal(compact.Bytes(), bytes.TrimSuffix(out, []byte("\n"))) {
+				t.Errorf("%s: answer is not compact JSON: %s", name, out)
+			}
+			if err := json.Unmarshal(out, c.got); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, _ := json.Marshal(c.got)
+			want, _ := json.Marshal(c.want)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: HTTP answer %s differs from the Core's %s", name, got, want)
+			}
+		}
+	}
+}
+
+// TestHTTPTrailingDataIs400 pins that a body must be exactly one JSON value:
+// a second value after the first is a caller mistake, not ignored.
+func TestHTTPTrailingDataIs400(t *testing.T) {
+	srv := newTestServer(t, newTestCore(0))
+	one, err := json.Marshal(&CompressRequest{Codec: "bdi", Data: testData(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, out := postRaw(t, srv.URL+"/v1/compress", append(one, "\n\t "...)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("trailing whitespace: %d (%s), want 200", resp.StatusCode, out)
+	}
+	resp, out := postRaw(t, srv.URL+"/v1/compress", append(append(one, ' '), one...))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("two JSON values: %d (%s), want 400", resp.StatusCode, out)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(out, &eb); err != nil || !strings.Contains(eb.Error, "decoding request") {
+		t.Fatalf("error body %q does not name the decode failure", out)
+	}
+}
+
+// TestHTTPBodyCapIs413 pins MaxBodyBytes at its boundary: a valid body of
+// exactly MaxBodyBytes bytes is served, one byte more is refused with 413
+// and the error envelope.
+func TestHTTPBodyCapIs413(t *testing.T) {
+	srv := newTestServer(t, newTestCore(0))
+	one, err := json.Marshal(&CompressRequest{Codec: "bdi", Data: testData(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	atCap := append(one, bytes.Repeat([]byte(" "), MaxBodyBytes-len(one))...)
+	if resp, out := postRaw(t, srv.URL+"/v1/compress", atCap); resp.StatusCode != http.StatusOK {
+		t.Fatalf("body of MaxBodyBytes: %d (%s), want 200", resp.StatusCode, out)
+	}
+	for _, endpoint := range []string{"compress", "decompress", "evaluate"} {
+		resp, out := postRaw(t, srv.URL+"/v1/"+endpoint, append(atCap, ' '))
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: body of MaxBodyBytes+1: %d (%s), want 413", endpoint, resp.StatusCode, out)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(out, &eb); err != nil || !strings.Contains(eb.Error, "cap") {
+			t.Fatalf("%s: error body %q does not name the cap", endpoint, out)
+		}
+	}
+}
+
+// TestWriteJSONUnencodableIs500 pins that the body is encoded before the
+// status line: a value JSON cannot carry becomes a 500 with the error
+// envelope, not a 200 with a truncated body.
+func TestWriteJSONUnencodableIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, &CompressResponse{Codec: "bdi", RawRatio: math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+		t.Errorf("Content-Length %q for a %d-byte body", cl, rec.Body.Len())
+	}
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || !strings.Contains(eb.Error, "NaN") {
+		t.Fatalf("body %q is not the error envelope naming the NaN", rec.Body.Bytes())
 	}
 }

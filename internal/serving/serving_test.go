@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/compress"
@@ -571,5 +572,58 @@ func TestForBlocksReportsLowestIndex(t *testing.T) {
 	})
 	if err == nil || err.Error() != "block 1 failed" {
 		t.Fatalf("got %v, want the lowest-index failure (block 1)", err)
+	}
+}
+
+// TestForBlocksCancelStopsEverySpan pins how fast a cancelled batch stops:
+// every worker checks the context before each block, so once cancel has
+// returned each other worker starts at most one more block, and the batch
+// returns the context's error.
+func TestForBlocksCancelStopsEverySpan(t *testing.T) {
+	const n, cancelAt = 4096, 100
+	for _, workers := range []int{2, 8} {
+		core := NewCore(Config{Workers: workers, MaxInFlight: 4})
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls, atCancel atomic.Int64
+		err := core.forBlocks(ctx, n, func(int) error {
+			if calls.Add(1) == cancelAt {
+				cancel()
+				atCancel.Store(calls.Load())
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
+		}
+		if late := calls.Load() - atCancel.Load(); late >= int64(workers) {
+			t.Errorf("workers=%d: %d blocks started after cancel returned, want fewer than %d", workers, late, workers)
+		}
+	}
+}
+
+// TestForBlocksPanicInLaterSpan pins the panic recovery across spans: panics
+// in a span other than the caller's become RequestErrors, and the one
+// returned is the lowest block index's, even when a later span fails too.
+func TestForBlocksPanicInLaterSpan(t *testing.T) {
+	const n = 64
+	for _, workers := range []int{2, 8} {
+		core := NewCore(Config{Workers: workers, MaxInFlight: 4})
+		err := core.forBlocks(context.Background(), n, func(i int) error {
+			switch i {
+			case 41, 44, 63:
+				panic(fmt.Sprintf("hostile block %d", i))
+			case 50:
+				return fmt.Errorf("block %d failed", i)
+			}
+			return nil
+		})
+		var reqErr *RequestError
+		if !errors.As(err, &reqErr) {
+			t.Fatalf("workers=%d: got %v (%T), want a RequestError", workers, err, err)
+		}
+		if want := "serving: block 41: invalid payload: hostile block 41"; err.Error() != want {
+			t.Errorf("workers=%d: got %q, want %q", workers, err, want)
+		}
 	}
 }
