@@ -6,7 +6,7 @@
 // Endpoints (see internal/serving and the README quick-start):
 //
 //	POST /v1/compress    compress data block-by-block under a codec
-//	POST /v1/decompress  decode blocks (E2MC uses the parallel gap decode)
+//	POST /v1/decompress  decode blocks under a codec
 //	POST /v1/evaluate    run data or a workload through the real pipeline
 //	GET  /v1/codecs      registered codecs and training profiles
 //	GET  /healthz        200 while serving, 503 while draining
@@ -30,19 +30,9 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/resultstore"
 	"repro/internal/serving"
 	"repro/internal/storeflag"
 )
-
-// storeOptions routes store notices (stale-lock takeovers) to stderr.
-func storeOptions(stderr io.Writer) resultstore.Options {
-	return resultstore.Options{
-		Logf: func(format string, args ...interface{}) {
-			fmt.Fprintf(stderr, "slcd: store: "+format+"\n", args...)
-		},
-	}
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil))
@@ -70,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 
 	core := serving.NewCore(serving.Config{Workers: *workers, MaxInFlight: *maxInFlight})
-	st, err := store.Open(storeOptions(stderr))
+	st, err := store.Open()
 	if err != nil {
 		fmt.Fprintln(stderr, "slcd:", err)
 		return 1

@@ -54,23 +54,6 @@ func (g *Group[T]) Do(key string, fn func() (T, error)) (T, error) {
 	return c.val, c.err
 }
 
-// Cached returns the completed value for key without computing anything:
-// ok reports whether a computation for key has finished (with any outcome).
-func (g *Group[T]) Cached(key string) (val T, err error, ok bool) {
-	g.mu.Lock()
-	c, present := g.m[key]
-	g.mu.Unlock()
-	if !present {
-		return val, nil, false
-	}
-	select {
-	case <-c.done:
-		return c.val, c.err, true
-	default:
-		return val, nil, false
-	}
-}
-
 // Len returns the number of keys ever requested (completed or in flight).
 func (g *Group[T]) Len() int {
 	g.mu.Lock()

@@ -6,18 +6,19 @@
 // code fingerprint — so a populated store turns a repeated `slcbench`
 // invocation into pure disk reads with bitwise-identical output.
 //
-// Layout of a store directory:
+// A store directory holds nothing but its records:
 //
 //	objects/ab/abcdef...        one record per key (header line + payload)
-//	index.json                  key → {size, kind, last-used} (rebuildable)
-//	lock                        advisory lock for index updates and GC
 //
 // Records carry a payload checksum; corrupt or truncated files are detected
 // on read, deleted, and reported as misses so callers recompute instead of
 // trusting bad data. Writes are atomic (temp file + rename), which makes
 // concurrent writers of the same key safe: they produce identical bytes and
-// the last rename wins. The index is advisory — it only drives the LRU
-// size-capped GC and is reconciled with the objects directory on Open.
+// the last rename wins. A record's mtime is its last use: a put sets it and
+// a hit refreshes it, and the size cap evicts the oldest records first.
+// Every record is immutable, so there is no shared mutable state and no
+// lock: goroutines and processes share a directory through the filesystem
+// alone.
 package resultstore
 
 import (
@@ -29,8 +30,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
+	"sort"
 	"sync/atomic"
+	"time"
 )
 
 // DefaultMaxBytes is the default LRU size cap of a store (1 GiB).
@@ -46,11 +48,6 @@ type Options struct {
 	// are evicted past it. Zero selects DefaultMaxBytes, negative disables
 	// the cap.
 	MaxBytes int64
-
-	// Logf, when set, receives operational notices — most importantly
-	// stale-lock takeovers (a crashed holder's advisory lock being stolen).
-	// Calls may come from any goroutine; the provider serialises.
-	Logf func(format string, args ...interface{})
 }
 
 // Store is a content-addressed result cache rooted at one directory. It is
@@ -60,17 +57,11 @@ type Store struct {
 	dir         string
 	fingerprint string
 	maxBytes    int64
-	logf        func(format string, args ...interface{})
 
 	hits   atomic.Int64
 	misses atomic.Int64
 	puts   atomic.Int64
 	bad    atomic.Int64
-
-	// touched batches pending LRU-timestamp refreshes (see touch in
-	// index.go) so read hits do not rewrite the index one by one.
-	touchMu sync.Mutex
-	touched map[string]int64
 }
 
 // Stats counts store traffic since Open. BadRecords counts corrupt or
@@ -83,8 +74,8 @@ type Stats struct {
 	BadRecords int64
 }
 
-// Open opens (creating if needed) the store rooted at dir and reconciles
-// the index with the objects on disk.
+// Open opens the store rooted at dir, creating its objects directory if
+// needed.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("resultstore: empty store directory")
@@ -96,19 +87,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:         dir,
 		fingerprint: opts.Fingerprint,
 		maxBytes:    opts.MaxBytes,
-		logf:        opts.Logf,
-	}
-	if s.logf == nil {
-		s.logf = func(string, ...interface{}) {}
 	}
 	if s.fingerprint == "" {
 		s.fingerprint = Fingerprint()
 	}
 	if s.maxBytes == 0 {
 		s.maxBytes = DefaultMaxBytes
-	}
-	if err := s.reconcile(); err != nil {
-		return nil, err
 	}
 	return s, nil
 }
@@ -132,10 +116,12 @@ func (s *Store) Key(kind string, m Material) (Key, error) {
 	return NewKey(s.fingerprint, kind, m)
 }
 
+func (s *Store) objectsDir() string { return filepath.Join(s.dir, "objects") }
+
 // objectPath returns the on-disk path of a key's record.
 func (s *Store) objectPath(k Key) string {
 	h := k.Hex()
-	return filepath.Join(s.dir, "objects", h[:2], h)
+	return filepath.Join(s.objectsDir(), h[:2], h)
 }
 
 // recordHeader is the first line of every record file.
@@ -153,8 +139,8 @@ type recordHeader struct {
 // payload that no longer decodes under the current types: the file is
 // dropped so the caller's recompute rewrites it. A hit is counted only once
 // decode succeeds, so the hit/miss counters mean exactly "the caller did
-// not recompute". ok reports a hit; err is an I/O failure, never a decode
-// error.
+// not recompute". A hit refreshes the record's mtime, its LRU position. ok
+// reports a hit; err is an I/O failure, never a decode error.
 func (s *Store) Get(k Key, decode func(payload []byte) error) (ok bool, err error) {
 	data, err := os.ReadFile(s.objectPath(k))
 	if err != nil {
@@ -175,7 +161,10 @@ func (s *Store) Get(k Key, decode func(payload []byte) error) (ok bool, err erro
 		return false, nil
 	}
 	s.hits.Add(1)
-	s.touch(k)
+	// Best-effort: a record evicted meanwhile, or a read-only store, only
+	// costs LRU accuracy.
+	now := time.Now()
+	os.Chtimes(s.objectPath(k), now, now)
 	return true, nil
 }
 
@@ -203,8 +192,8 @@ func decodeRecord(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// PutBytes writes a record atomically and updates the index (evicting LRU
-// records past the size cap). kind and enc label the record for inspection;
+// PutBytes writes a record atomically and then evicts the least-recently-used
+// records past the size cap. kind and enc label the record for inspection;
 // they do not affect addressing — the key does.
 func (s *Store) PutBytes(k Key, kind, enc string, payload []byte) error {
 	hdr := recordHeader{
@@ -231,12 +220,14 @@ func (s *Store) PutBytes(k Key, kind, enc string, payload []byte) error {
 		return err
 	}
 	s.puts.Add(1)
-	return s.indexPut(k, kind, int64(len(record)))
+	return s.evict()
 }
 
 // atomicWrite writes data to path via a temp file + rename, so readers only
 // ever observe complete records and concurrent writers of identical content
-// are safe.
+// are safe. The record's mtime is set to time.Now() explicitly before the
+// rename: the kernel stamps files from a coarse clock, which gives rapid
+// puts equal mtimes and so an arbitrary LRU order.
 func atomicWrite(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
@@ -249,6 +240,11 @@ func atomicWrite(path string, data []byte) error {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("resultstore: %w", err)
+	}
+	now := time.Now()
+	if err := os.Chtimes(tmpName, now, now); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("resultstore: %w", err)
 	}
@@ -279,19 +275,88 @@ func (s *Store) PutGob(k Key, kind string, v any) error {
 	return s.PutBytes(k, kind, "gob", buf.Bytes())
 }
 
-// Clear removes every record and the index, leaving an empty, usable store.
+// Clear removes every record, leaving an empty, usable store.
 func (s *Store) Clear() error {
-	s.drainTouches() // pending LRU refreshes point at records about to go
-	unlock, err := s.lock()
+	if err := os.RemoveAll(s.objectsDir()); err != nil {
+		return fmt.Errorf("resultstore: %w", err)
+	}
+	return os.MkdirAll(s.objectsDir(), 0o777)
+}
+
+// object is one record file as eviction sees it.
+type object struct {
+	path  string
+	size  int64
+	mtime time.Time
+}
+
+// evict deletes the least-recently-used records, oldest (mtime, name) first,
+// until the records under objects/??/ fit the size cap. Only 64-hex-digit
+// names are records; a temp file a crashed writer left behind is neither
+// counted nor deleted. A record another process removed meanwhile is
+// skipped.
+func (s *Store) evict() error {
+	if s.maxBytes < 0 {
+		return nil
+	}
+	shards, err := os.ReadDir(s.objectsDir())
 	if err != nil {
-		return err
-	}
-	defer unlock()
-	if err := os.RemoveAll(filepath.Join(s.dir, "objects")); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	if err := os.Remove(s.indexPath()); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("resultstore: %w", err)
+	var objs []object
+	var total int64
+	for _, shard := range shards {
+		if !shard.IsDir() || len(shard.Name()) != 2 {
+			continue
+		}
+		dir := filepath.Join(s.objectsDir(), shard.Name())
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			continue
+		}
+		for _, e := range entries {
+			if !isKeyName(e.Name()) {
+				continue
+			}
+			fi, err := e.Info()
+			if err != nil {
+				continue
+			}
+			objs = append(objs, object{filepath.Join(dir, e.Name()), fi.Size(), fi.ModTime()})
+			total += fi.Size()
+		}
 	}
-	return os.MkdirAll(filepath.Join(s.dir, "objects"), 0o777)
+	if total <= s.maxBytes {
+		return nil
+	}
+	sort.Slice(objs, func(i, j int) bool {
+		if !objs[i].mtime.Equal(objs[j].mtime) {
+			return objs[i].mtime.Before(objs[j].mtime)
+		}
+		return objs[i].path < objs[j].path // the shard is the name's prefix: name order
+	})
+	for _, o := range objs {
+		if total <= s.maxBytes {
+			break
+		}
+		if err := os.Remove(o.path); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("resultstore: evicting: %w", err)
+		}
+		total -= o.size
+	}
+	return nil
+}
+
+// isKeyName reports whether name is a record's name: a key's 64 lowercase
+// hex digits.
+func isKeyName(name string) bool {
+	if len(name) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
@@ -291,27 +292,107 @@ func TestClear(t *testing.T) {
 	}
 }
 
-// TestReconcileRebuildsIndex deletes the index out from under a store; a
-// reopened store must adopt the orphaned objects and keep serving them.
-func TestReconcileRebuildsIndex(t *testing.T) {
+// TestGetHitKeepsRecordThroughEviction pins the LRU order: a hit refreshes
+// a record's position, so the oldest record, once read, outlives the records
+// written after it when later puts force eviction.
+func TestGetHitKeepsRecordThroughEviction(t *testing.T) {
+	s := openTestStore(t, Options{MaxBytes: 700})
+	payload := bytes.Repeat([]byte{'x'}, 100)
+	put := func(i int) Key {
+		k, _ := s.Key("cell", Material{"i": i})
+		if err := s.PutBytes(k, "cell", "bin", payload); err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	// Records are 218 bytes each: three fit under the cap.
+	oldest, second, third := put(0), put(1), put(2)
+	if _, ok, err := getBytes(s, oldest); err != nil || !ok {
+		t.Fatalf("get oldest: ok=%v err=%v", ok, err)
+	}
+	put(3)
+	put(4)
+	present := func(k Key) bool {
+		_, err := os.Stat(s.objectPath(k))
+		return err == nil
+	}
+	if !present(oldest) {
+		t.Error("the oldest record was evicted although a hit had just refreshed it")
+	}
+	if present(second) || present(third) {
+		t.Errorf("records not refreshed by a hit survived eviction: second %v, third %v",
+			present(second), present(third))
+	}
+}
+
+// TestLeftoverTempFileIsIgnored leaves a complete record under a temp name
+// in its shard, as a writer that crashed before the rename would. The temp
+// file is never served, eviction neither counts nor deletes it, and Open,
+// PutBytes, Get and Clear all work with it present.
+func TestLeftoverTempFileIsIgnored(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := Open(dir, Options{Fingerprint: "fp"})
+	opts := Options{Fingerprint: "fp", MaxBytes: 700}
+	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, _ := s1.Key("cell", Material{"i": 1})
-	if err := s1.PutBytes(k, "cell", "bin", []byte("payload")); err != nil {
+	// The crashed writer's record is far over the cap: eviction would empty
+	// the store if it counted the temp file.
+	big := bytes.Repeat([]byte{'x'}, 4096)
+	k, _ := s.Key("cell", Material{"crashed": true})
+	record := []byte(fmt.Sprintf(`{"v":%d,"kind":"cell","enc":"bin","len":%d,"sha256":"%x"}`+"\n",
+		SchemaVersion, len(big), sha256.Sum256(big)))
+	record = append(record, big...)
+	if _, err := decodeRecord(record); err != nil {
+		t.Fatalf("test record is not valid: %v", err)
+	}
+	tmp := filepath.Join(filepath.Dir(s.objectPath(k)), ".tmp-12345")
+	if err := os.MkdirAll(filepath.Dir(tmp), 0o777); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
+	if err := os.WriteFile(tmp, record, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, Options{Fingerprint: "fp"})
+
+	s, err = Open(dir, opts)
+	if err != nil {
+		t.Fatalf("Open with a leftover temp file: %v", err)
+	}
+	if _, ok, err := getBytes(s, k); err != nil || ok {
+		t.Fatalf("leftover temp file served: ok=%v err=%v", ok, err)
+	}
+	payload := bytes.Repeat([]byte{'y'}, 100)
+	var keys []Key
+	for i := 0; i < 3; i++ {
+		ki, _ := s.Key("cell", Material{"i": i})
+		if err := s.PutBytes(ki, "cell", "bin", payload); err != nil {
+			t.Fatalf("PutBytes with a leftover temp file: %v", err)
+		}
+		keys = append(keys, ki)
+	}
+	for i, ki := range keys {
+		if got, ok, err := getBytes(s, ki); err != nil || !ok || !bytes.Equal(got, payload) {
+			t.Errorf("record %d under the cap: ok=%v err=%v (temp file counted by eviction?)", i, ok, err)
+		}
+	}
+	if _, err := os.Stat(tmp); err != nil {
+		t.Errorf("eviction removed the temp file: %v", err)
+	}
+	if err := s.Clear(); err != nil {
+		t.Fatalf("Clear with a leftover temp file: %v", err)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("temp file survived Clear: %v", err)
+	}
+	if err := s.PutBytes(k, "cell", "bin", payload); err != nil {
+		t.Fatalf("store unusable after Clear: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok, err := getBytes(s2, k); err != nil || !ok || string(got) != "payload" {
-		t.Fatalf("orphaned object lost after reindex: ok=%v err=%v", ok, err)
+	if len(entries) != 1 || entries[0].Name() != "objects" {
+		t.Errorf("store directory holds %v, want only objects/", entries)
 	}
 }
 

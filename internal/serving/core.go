@@ -27,6 +27,9 @@ var (
 	// ErrDraining reports that the server is shutting down and admits no new
 	// work (503).
 	ErrDraining = errors.New("serving: draining, not accepting new work")
+	// ErrTooManyBlocks reports a decompress request over MaxDecompressBlocks
+	// (413).
+	ErrTooManyBlocks = fmt.Errorf("serving: more than %d blocks in one request", MaxDecompressBlocks)
 )
 
 // RequestError is a caller mistake — unknown codec, bad geometry, undecodable
@@ -331,6 +334,9 @@ func (c *Core) Decompress(ctx context.Context, req *DecompressRequest) (*Decompr
 	defer release()
 	if len(req.Blocks) == 0 {
 		return nil, badRequest("serving: no blocks")
+	}
+	if len(req.Blocks) > MaxDecompressBlocks {
+		return nil, fmt.Errorf("%w: got %d", ErrTooManyBlocks, len(req.Blocks))
 	}
 	pair, err := c.resolve(req.Codec, req.Profile, req.MAG, req.ThresholdBits, req.ErrorBound)
 	if err != nil {

@@ -21,10 +21,16 @@ const DefaultRequestTimeout = 30 * time.Second
 // MaxBodyBytes caps a POST body; a longer one is refused with 413 before it
 // is decoded. The densest body is a run of {"bits":0} blocks, 11 bytes each
 // that decode to 40-byte Block structs, so a body at the cap decodes to at
-// most 95 325 blocks: 3.8 MB of Block structs, and 12.2 MB of data if a
-// decompress request succeeds. A compress or evaluate body at the cap
-// carries 768 KiB of data (base64 is 4 bytes for 3).
+// most 95 325 blocks: 3.8 MB of Block structs. A compress or evaluate body
+// at the cap carries 768 KiB of data (base64 is 4 bytes for 3).
 const MaxBodyBytes = 1 << 20
+
+// MaxDecompressBlocks caps the blocks of one decompress request at the block
+// count of the largest compress input a body at MaxBodyBytes can carry:
+// 768 KiB / 128 B = 6144 blocks, so a decompress answer is at most 768 KiB.
+// A longer request is refused with ErrTooManyBlocks (413) before its output
+// is allocated.
+const MaxDecompressBlocks = MaxBodyBytes / 4 * 3 / compress.BlockSize
 
 // Handler serves the slcd HTTP API over a Core.
 //
@@ -77,7 +83,7 @@ func statusFor(err error) int {
 	switch {
 	case errors.As(err, &reqErr):
 		return http.StatusBadRequest
-	case errors.As(err, &tooLarge):
+	case errors.As(err, &tooLarge), errors.Is(err, ErrTooManyBlocks):
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrSaturated):
 		return http.StatusTooManyRequests

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/compress"
 )
 
 func newTestServer(t *testing.T, core *Core) *httptest.Server {
@@ -372,6 +376,49 @@ func TestHTTPBodyCapIs413(t *testing.T) {
 		if err := json.Unmarshal(out, &eb); err != nil || !strings.Contains(eb.Error, "cap") {
 			t.Fatalf("%s: error body %q does not name the cap", endpoint, out)
 		}
+	}
+}
+
+// TestHTTPDecompressBlockCapIs413 pins MaxDecompressBlocks at its boundary:
+// a request of exactly the cap is served, one block more is refused with 413
+// before the Core allocates the request's output.
+func TestHTTPDecompressBlockCapIs413(t *testing.T) {
+	core := newTestCore(0)
+	data := make([]byte, MaxDecompressBlocks*compress.BlockSize) // all-zero blocks keep the body small
+	cres, err := core.Compress(context.Background(), &CompressRequest{Codec: "bdi", Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, core)
+	status, body := postJSON(t, srv.URL+"/v1/decompress", &DecompressRequest{Codec: "bdi", Blocks: cres.Blocks})
+	if status != http.StatusOK {
+		t.Fatalf("%d blocks: %d (%.200s), want 200", MaxDecompressBlocks, status, body)
+	}
+	var dres DecompressResponse
+	if err := json.Unmarshal(body, &dres); err != nil || !bytes.Equal(dres.Data, data) {
+		t.Fatalf("%d blocks: round trip is not byte-identical (err %v)", MaxDecompressBlocks, err)
+	}
+
+	over := &DecompressRequest{Codec: "bdi", Blocks: append(cres.Blocks, cres.Blocks[0])}
+	status, body = postJSON(t, srv.URL+"/v1/decompress", over)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d blocks: %d (%s), want 413", len(over.Blocks), status, body)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || !strings.Contains(eb.Error, "blocks") {
+		t.Fatalf("error body %q does not name the block cap", body)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = core.Decompress(context.Background(), over)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTooManyBlocks) {
+		t.Fatalf("Core.Decompress over the cap: %v, want ErrTooManyBlocks", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= uint64(len(over.Blocks)*compress.BlockSize) {
+		t.Fatalf("rejected request allocated %d bytes, the size of its output", n)
 	}
 }
 

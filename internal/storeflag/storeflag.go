@@ -34,14 +34,14 @@ func RegisterOn(fs *flag.FlagSet) *Flags {
 
 // Open opens the store named by -store (if any) and clears it when
 // -store-clear was given. It returns nil when persistence is off.
-func (f *Flags) Open(opts resultstore.Options) (*resultstore.Store, error) {
+func (f *Flags) Open() (*resultstore.Store, error) {
 	if *f.dir == "" {
 		if *f.clear {
 			return nil, fmt.Errorf("-store-clear needs -store")
 		}
 		return nil, nil
 	}
-	s, err := resultstore.Open(*f.dir, opts)
+	s, err := resultstore.Open(*f.dir, resultstore.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +56,7 @@ func (f *Flags) Open(opts resultstore.Options) (*resultstore.Store, error) {
 // Attach opens the store (see Open) and attaches it to the runner. It
 // returns the store (nil when persistence is off) for stats reporting.
 func (f *Flags) Attach(r *experiments.Runner) (*resultstore.Store, error) {
-	s, err := f.Open(resultstore.Options{})
+	s, err := f.Open()
 	if err != nil || s == nil {
 		return nil, err
 	}
