@@ -11,11 +11,16 @@
 //
 // In a parallel window the calling goroutine runs the coordinator lane (lane
 // 0, the heaviest: about half of a simulator replay's events) first, while
-// helper goroutines — woken once per window — and then the caller itself
-// claim the window's remaining active lanes from a shared atomic cursor. A
-// panic raised on any of them is recovered and re-raised on Run's caller
-// after the window's barrier, so a broken model invariant surfaces as the
-// caller's panic rather than killing the process from a helper.
+// the helper goroutines and then the caller itself claim the window's
+// remaining active lanes from a shared atomic cursor. The caller opens a
+// window by bumping a generation counter and waits at the barrier on an
+// atomic count of helpers still draining; between windows a helper spins
+// on the counter, yielding its P as it goes, and parks only after a bound
+// several times longer than the usual gap between windows, so a window
+// costs no goroutine wake-up. A panic raised on any worker is recovered
+// and re-raised on Run's caller after the window's barrier, so a broken
+// model invariant surfaces as the caller's panic rather than killing the
+// process from a helper.
 //
 // An event is a small value Event record dispatched to the Handler
 // registered for its Kind on the lane it lands on. It is scheduled loose
@@ -44,6 +49,7 @@ package events
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -633,10 +639,13 @@ func (e *Engine) Reset() {
 
 // Run drains every lane. workers ≤ 1 (or a non-positive lookahead) selects
 // the serial engine; larger values fan the window's active lanes across that
-// many goroutines. The executed event sequence — and therefore every
+// many goroutines, at most one per lane, per P (GOMAXPROCS) and per CPU:
+// the workers spin between windows, so more of them than Ps or CPUs would
+// only take turns. The executed event sequence — and therefore every
 // lane-local state and statistic — is identical in both modes.
 func (e *Engine) Run(workers int) {
-	if workers <= 1 || e.lookahead <= 0 || len(e.lanes) == 1 {
+	workers = min(workers, len(e.lanes), runtime.GOMAXPROCS(0), runtime.NumCPU())
+	if workers <= 1 || e.lookahead <= 0 {
 		e.runSerial()
 		return
 	}
@@ -662,24 +671,140 @@ func (e *Engine) runSerial() {
 	}
 }
 
+// spinLoads bounds how long a helper waits for the next window by spinning
+// on the generation counter before it parks, and spinYield is how often the
+// spin yields: a runtime.Gosched every spinYield loads lets any other
+// runnable goroutine (the workload of a streamed replay, say) take the P.
+//
+// The bound is sized from the gaps between windows. Replaying SRAD1 ×
+// TSLC-OPT at 16 B MAG with two workers on a 2-vCPU Xeon opens 5 712
+// windows; a helper waits a median of ≈ 6 µs for the next one, and 99.7 %
+// of its waits end within 131 µs. 1<<17 loads spin for ≈ 0.4 ms there, and
+// the helper parked in 33 of 34 344 waits. At 1<<12 loads (≈ 20 µs) it
+// parked in 28 % of them, paid a wake-up for each, and the replay took
+// ≈ 180 ns per event instead of ≈ 140.
+const (
+	spinLoads = 1 << 17
+	spinYield = 64
+)
+
 // window is the state one parallel time window shares between the calling
 // goroutine and the helper workers: the active lanes, the horizon they drain
 // to, and the cursor the workers claim lanes from. Index 0 is never claimed
 // from the cursor — the caller runs it first — so the coordinator lane, the
 // heaviest when active, starts the moment the window opens instead of
 // queueing behind the channel lanes.
+//
+// The caller opens a window by bumping gen; every helper drains each window
+// once and counts itself out of pending, and the caller's barrier waits for
+// pending to reach zero. Both sides wait by spinning, so a window costs no
+// goroutine wake-up while windows follow each other closely; a helper that
+// spins past spinLoads parks, and the caller wakes only the parked helpers.
 type window struct {
 	lanes   []*Lane
 	horizon float64
 	next    atomic.Int32
-	// wake carries one token per helper woken for the current window; done
-	// counts the woken helpers back in at the barrier.
-	wake chan struct{}
-	done sync.WaitGroup
+	gen     atomic.Uint64
+	pending atomic.Int32
+	// quit, set before the final generation bump, stops the helpers.
+	quit    atomic.Bool
+	helpers []*helper
+	exited  sync.WaitGroup
 	// panicked holds the first panic raised on any worker during the
 	// window, re-raised on the caller after the barrier.
 	mu       sync.Mutex
 	panicked any
+}
+
+// helper is one helper goroutine's parking state. parked is set while the
+// helper may block on wake; the caller sends a token only to a helper it
+// sees parked, and never blocks on the send.
+type helper struct {
+	parked atomic.Bool
+	wake   chan struct{}
+}
+
+// help is a helper goroutine: it drains every window the caller opens until
+// quit.
+func (w *window) help(h *helper) {
+	defer w.exited.Done()
+	var seen uint64
+	for {
+		seen = w.await(h, seen)
+		if w.quit.Load() {
+			return
+		}
+		w.drain(nil)
+		w.pending.Add(-1)
+	}
+}
+
+// await returns the first generation after seen: it spins for it, then
+// parks. The caller bumps gen before it looks at parked, and the helper sets
+// parked before it looks at gen, so one of them sees the other and no
+// wake-up is lost. A token can be stale, though: if the caller saw parked
+// set just as the helper found the new generation on its own, the token
+// waits in the channel until the helper's next park. A wake-up that finds
+// the generation unchanged is therefore spurious, and the helper waits
+// again; draining on it would drain a window twice and leave the barrier
+// waiting forever.
+func (w *window) await(h *helper, seen uint64) uint64 {
+	for i := 1; i <= spinLoads; i++ {
+		if g := w.gen.Load(); g != seen {
+			return g
+		}
+		if i%spinYield == 0 {
+			runtime.Gosched()
+		}
+	}
+	h.parked.Store(true)
+	g := w.gen.Load()
+	for g == seen {
+		<-h.wake
+		g = w.gen.Load()
+	}
+	h.parked.Store(false)
+	return g
+}
+
+// open publishes a window to the helpers and wakes the parked ones.
+func (w *window) open(lanes []*Lane, horizon float64) {
+	w.lanes, w.horizon = lanes, horizon
+	w.next.Store(0)
+	w.pending.Store(int32(len(w.helpers)))
+	w.gen.Add(1)
+	w.wakeParked()
+}
+
+// wakeParked sends a token to every helper that has parked, unless one is
+// already waiting in its channel.
+func (w *window) wakeParked() {
+	for _, h := range w.helpers {
+		if h.parked.Load() {
+			select {
+			case h.wake <- struct{}{}:
+			default:
+			}
+		}
+	}
+}
+
+// barrier spins until every helper has drained the open window, yielding
+// like a helper's spin so that a helper waiting for a P gets one.
+func (w *window) barrier() {
+	for i := 1; w.pending.Load() != 0; i++ {
+		if i%spinYield == 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// stop ends the helpers after the last barrier and waits for them to exit.
+func (w *window) stop() {
+	w.quit.Store(true)
+	w.gen.Add(1)
+	w.wakeParked()
+	w.exited.Wait()
 }
 
 // drain runs first (when non-nil), then lanes claimed from the shared cursor
@@ -705,30 +830,25 @@ func (w *window) drain(first *Lane) {
 	}
 }
 
-// runParallel executes conservative time windows on a persistent worker
-// pool. Each window: find the global minimum pending time T, let every lane
-// with events below T+lookahead drain that range concurrently, then deliver
-// the buffered cross-lane messages (all provably at or beyond the horizon)
-// and repeat. The calling goroutine runs the window's first active lane
-// (lane 0, the coordinator, whenever it is active) and then joins the woken
-// helpers in claiming the rest from the window's cursor.
+// runParallel executes conservative time windows on workers goroutines: the
+// caller and workers−1 helpers that live for the whole run. Each window:
+// find the global minimum pending time T, let every lane with events below
+// T+lookahead drain that range concurrently, then deliver the buffered
+// cross-lane messages (all provably at or beyond the horizon) and repeat.
+// The calling goroutine runs the window's first active lane (lane 0, the
+// coordinator, whenever it is active) and then joins the helpers in
+// claiming the rest from the window's cursor.
 func (e *Engine) runParallel(workers int) {
 	e.parallel = true
 	defer func() { e.parallel = false }()
 
-	if workers > len(e.lanes) {
-		workers = len(e.lanes)
+	w := &window{helpers: make([]*helper, workers-1)}
+	w.exited.Add(len(w.helpers))
+	for i := range w.helpers {
+		w.helpers[i] = &helper{wake: make(chan struct{}, 1)}
+		go w.help(w.helpers[i])
 	}
-	w := &window{wake: make(chan struct{}, workers-1)}
-	for i := 1; i < workers; i++ {
-		go func() {
-			for range w.wake {
-				w.drain(nil)
-				w.done.Done()
-			}
-		}()
-	}
-	defer close(w.wake)
+	defer w.stop()
 
 	active := make([]*Lane, 0, len(e.lanes))
 	for {
@@ -748,18 +868,9 @@ func (e *Engine) runParallel(workers int) {
 				active = append(active, l)
 			}
 		}
-		w.lanes, w.horizon = active, horizon
-		w.next.Store(0)
-		// Wake one helper per active lane beyond the caller's, at most one
-		// per helper: each woken helper consumes exactly one token and
-		// counts itself back in, so the buffer never fills.
-		helpers := min(len(active)-1, workers-1)
-		w.done.Add(helpers)
-		for i := 0; i < helpers; i++ {
-			w.wake <- struct{}{}
-		}
+		w.open(active, horizon)
 		w.drain(active[0])
-		w.done.Wait()
+		w.barrier()
 		if w.panicked != nil {
 			panic(w.panicked)
 		}

@@ -75,7 +75,8 @@ type Config struct {
 	MC      mc.Config
 	// Workers is the number of goroutines draining the event lanes: ≤ 1
 	// selects the serial engine, larger values the sharded engine (and a
-	// streamed RunRecording). Results are bitwise-identical either way.
+	// streamed RunRecording), capped at one worker per lane, P and CPU
+	// (events.Engine.Run). Results are bitwise-identical either way.
 	Workers int
 
 	// Display-only fields of Table II (not modelled directly: the L1 is

@@ -31,12 +31,19 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // DefaultMaxBytes is the default LRU size cap of a store (1 GiB).
 const DefaultMaxBytes = 1 << 30
+
+// walkShare bounds how stale a Store's estimate of the directory's size may
+// grow: once a Store has put MaxBytes/walkShare bytes since its last walk,
+// its next put walks the objects directory again, so records that other
+// processes wrote meanwhile are counted within a bounded number of puts.
+const walkShare = 8
 
 // Options configures Open.
 type Options struct {
@@ -62,6 +69,13 @@ type Store struct {
 	misses atomic.Int64
 	puts   atomic.Int64
 	bad    atomic.Int64
+
+	// evictMu guards the size estimate: walked is the objects directory's
+	// total after this Store's last walk, and sinceWalk the record bytes
+	// this Store has put since then (-1 before the first walk).
+	evictMu   sync.Mutex
+	walked    int64
+	sinceWalk int64
 }
 
 // Stats counts store traffic since Open. BadRecords counts corrupt or
@@ -87,6 +101,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:         dir,
 		fingerprint: opts.Fingerprint,
 		maxBytes:    opts.MaxBytes,
+		sinceWalk:   -1,
 	}
 	if s.fingerprint == "" {
 		s.fingerprint = Fingerprint()
@@ -220,7 +235,7 @@ func (s *Store) PutBytes(k Key, kind, enc string, payload []byte) error {
 		return err
 	}
 	s.puts.Add(1)
-	return s.evict()
+	return s.evict(int64(len(record)))
 }
 
 // atomicWrite writes data to path via a temp file + rename, so readers only
@@ -277,6 +292,9 @@ func (s *Store) PutGob(k Key, kind string, v any) error {
 
 // Clear removes every record, leaving an empty, usable store.
 func (s *Store) Clear() error {
+	s.evictMu.Lock()
+	defer s.evictMu.Unlock()
+	s.walked, s.sinceWalk = 0, 0
 	if err := os.RemoveAll(s.objectsDir()); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
@@ -290,18 +308,41 @@ type object struct {
 	mtime time.Time
 }
 
-// evict deletes the least-recently-used records, oldest (mtime, name) first,
-// until the records under objects/??/ fit the size cap. Only 64-hex-digit
-// names are records; a temp file a crashed writer left behind is neither
-// counted nor deleted. A record another process removed meanwhile is
-// skipped.
-func (s *Store) evict() error {
+// evict accounts for a put of n record bytes and keeps the store under its
+// size cap. A walk of the objects directory costs time in proportion to the
+// number of records, so evict walks only when the last walk's total plus
+// this Store's puts since then exceed the cap, or when those puts reach
+// MaxBytes/walkShare; otherwise the directory is known to fit, up to what
+// other processes wrote since the last walk.
+func (s *Store) evict(n int64) error {
 	if s.maxBytes < 0 {
 		return nil
 	}
+	s.evictMu.Lock()
+	defer s.evictMu.Unlock()
+	if s.sinceWalk >= 0 {
+		s.sinceWalk += n
+		if s.walked+s.sinceWalk <= s.maxBytes && s.sinceWalk < s.maxBytes/walkShare {
+			return nil
+		}
+	}
+	total, err := s.walk()
+	if err != nil {
+		return err
+	}
+	s.walked, s.sinceWalk = total, 0
+	return nil
+}
+
+// walk deletes the least-recently-used records, oldest (mtime, name) first,
+// until the records under objects/??/ fit the size cap, and returns their
+// total size. Only 64-hex-digit names are records; a temp file a crashed
+// writer left behind is neither counted nor deleted. A record another
+// process removed meanwhile is skipped.
+func (s *Store) walk() (int64, error) {
 	shards, err := os.ReadDir(s.objectsDir())
 	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
+		return 0, fmt.Errorf("resultstore: %w", err)
 	}
 	var objs []object
 	var total int64
@@ -327,7 +368,7 @@ func (s *Store) evict() error {
 		}
 	}
 	if total <= s.maxBytes {
-		return nil
+		return total, nil
 	}
 	sort.Slice(objs, func(i, j int) bool {
 		if !objs[i].mtime.Equal(objs[j].mtime) {
@@ -340,11 +381,11 @@ func (s *Store) evict() error {
 			break
 		}
 		if err := os.Remove(o.path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("resultstore: evicting: %w", err)
+			return 0, fmt.Errorf("resultstore: evicting: %w", err)
 		}
 		total -= o.size
 	}
-	return nil
+	return total, nil
 }
 
 // isKeyName reports whether name is a record's name: a key's 64 lowercase

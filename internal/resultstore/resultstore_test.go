@@ -462,3 +462,60 @@ func TestConcurrentStoresShareDirectory(t *testing.T) {
 		t.Errorf("concurrent writes produced %d bad records", st.BadRecords)
 	}
 }
+
+// TestOtherStoreRecordsEvictedWithinBound: a Store walks the objects
+// directory only when its own estimate of the total goes over the cap or
+// after it has put MaxBytes/walkShare bytes, so records another Store (or
+// process) writes are counted late, but within that many bytes of puts.
+func TestOtherStoreRecordsEvictedWithinBound(t *testing.T) {
+	dir := t.TempDir()
+	const maxBytes = 16 << 10
+	open := func(maxBytes int64) *Store {
+		s, err := Open(dir, Options{Fingerprint: "fp", MaxBytes: maxBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a, b := open(maxBytes), open(-1)
+	payload := bytes.Repeat([]byte{'x'}, 100)
+	put := func(s *Store, i int) {
+		k, _ := s.Key("cell", Material{"i": i})
+		if err := s.PutBytes(k, "cell", "bin", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := func() (total, records int64) {
+		shards, _ := filepath.Glob(filepath.Join(dir, "objects", "??", "*"))
+		for _, p := range shards {
+			if fi, err := os.Stat(p); err == nil && isKeyName(fi.Name()) {
+				total += fi.Size()
+				records++
+			}
+		}
+		return total, records
+	}
+
+	put(a, 0)
+	i := 1
+	for total, _ := size(); total <= 2*maxBytes; total, _ = size() {
+		put(b, i) // b has no cap: the directory grows past a's
+		i++
+	}
+	total, records := size()
+	perRecord := total / records
+	put(a, i)
+	if now, _ := size(); now <= maxBytes {
+		t.Errorf("a walked the directory on a put whose own estimate (%d bytes) fits the cap", 2*perRecord)
+	}
+	bound := maxBytes/walkShare/perRecord + 1
+	for n := int64(2); ; n++ {
+		i++
+		put(a, i)
+		if now, _ := size(); now <= maxBytes {
+			break
+		} else if n >= bound {
+			t.Fatalf("after %d puts by a, the directory holds %d bytes, over its %d-byte cap", n, now, maxBytes)
+		}
+	}
+}
