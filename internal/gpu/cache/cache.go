@@ -4,9 +4,8 @@
 // Compression does not change the L2's geometry or policy, but its hit/miss
 // counts still differ between compression configurations: the simulator
 // issues accesses in an order that depends on memory timing, and the
-// compressed sizes change that timing. In `slcbench -fig 7`, SRAD1's L2 hits
-// 101 232 times under E2MC at 32 B and 99 719 times under TSLC-SIMP at 32 B
-// with a 16 B threshold.
+// compressed sizes change that timing. `slcbench -fig 7 -json` reports the
+// per-configuration L2 counts.
 package cache
 
 import "fmt"

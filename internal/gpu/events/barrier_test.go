@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -16,20 +15,6 @@ const (
 	opFollow
 	opBack
 )
-
-// spinTime measures how long a helper spins before it parks: spinLoads
-// loads of a counter nobody bumps, yielding every spinYield loads as
-// window.await does.
-func spinTime() time.Duration {
-	var gen atomic.Uint64
-	t0 := time.Now()
-	for i := 1; i <= spinLoads && gen.Load() == 0; i++ {
-		if i%spinYield == 0 {
-			runtime.Gosched()
-		}
-	}
-	return time.Since(t0)
-}
 
 // burn busy-waits for d of wall time, the way a heavy lane keeps its worker.
 func burn(d time.Duration) {
@@ -89,22 +74,18 @@ func runBarrierModel(lanes, workers int, stretch []time.Duration) [][]string {
 	return logs
 }
 
-// TestBarrierStretchesAndBusyWindows alternates coordinator-only windows
-// around and beyond a helper's spin time, after which the helpers have
-// parked or are about to, with windows in which every lane is busy and the
-// caller must wake them. The stretches sweep from half to twice the spin
-// time, so some windows open just as a helper parks, where a wake-up can be
-// lost or go stale. The race is a few instructions wide, so this test
-// exercises it without forcing it; TestBarrierStaleWakeupWaitsAgain forces
-// the stale case. The dispatch order must be the serial engine's at every
-// worker count, and a lost wake-up or a window drained twice hangs the
-// barrier until the test's -timeout.
+// TestBarrierStretchesAndBusyWindows alternates coordinator-only windows,
+// which the caller runs without opening them while the helpers keep waiting
+// for the next window, with windows in which every lane is busy. The
+// stretches sweep from nothing to a millisecond, tens of windows' worth, so
+// a window opens at every point of a helper's wait. The dispatch order must
+// be the serial engine's at every worker count, and a window drained twice
+// or never counted out hangs the barrier until the test's -timeout.
 func TestBarrierStretchesAndBusyWindows(t *testing.T) {
-	spin := spinTime()
 	const rounds = 32
 	stretch := make([]time.Duration, rounds)
 	for r := range stretch {
-		stretch[r] = spin/2 + spin*time.Duration(3*r)/(2*rounds)
+		stretch[r] = time.Millisecond * time.Duration(r) / (rounds - 1)
 	}
 	want := runBarrierModel(4, 1, stretch)
 	for _, workers := range []int{2, 3, 4} {
@@ -115,46 +96,16 @@ func TestBarrierStretchesAndBusyWindows(t *testing.T) {
 }
 
 // TestBarrierHelpersExit: Run must stop every helper before it returns,
-// whether the helpers are spinning or parked when the last window closes.
+// also when the last window is a long coordinator-only one.
 // TestEngineParallelPanicReachesCaller checks the same after a helper
 // panic.
 func TestBarrierHelpersExit(t *testing.T) {
-	spin := spinTime()
 	for _, workers := range []int{2, 3, 4} {
 		before := runtime.NumGoroutine()
 		runPingPong(4, workers, 5)
 		waitGoroutines(t, before)
 
-		// The last window runs the coordinator alone for twice the spin
-		// time, so the helpers have parked when Run stops them.
-		runBarrierModel(4, workers, []time.Duration{0, 2 * spin})
+		runBarrierModel(4, workers, []time.Duration{0, 2 * time.Millisecond})
 		waitGoroutines(t, before)
-	}
-}
-
-// TestBarrierStaleWakeupWaitsAgain: a token the caller sent to a helper that
-// then found the new generation on its own stays in the helper's channel
-// until the helper next parks. await must take that wake-up for the
-// spurious one it is and wait again; returning on it would make the helper
-// drain the same window twice and count itself out of the barrier twice.
-func TestBarrierStaleWakeupWaitsAgain(t *testing.T) {
-	h := &helper{wake: make(chan struct{}, 1)}
-	w := &window{helpers: []*helper{h}}
-	seen := w.gen.Add(1)
-	h.wake <- struct{}{} // the stale token
-	got := make(chan uint64, 1)
-	go func() { got <- w.await(h, seen) }()
-	for len(h.wake) != 0 { // the helper spins, parks and takes the token
-		runtime.Gosched()
-	}
-	select {
-	case g := <-got:
-		t.Fatalf("await returned generation %d on a stale wake-up, want it to wait for %d", g, seen+1)
-	case <-time.After(50 * time.Millisecond):
-	}
-	w.gen.Add(1)
-	w.wakeParked()
-	if g := <-got; g != seen+1 {
-		t.Fatalf("await returned generation %d, want %d", g, seen+1)
 	}
 }

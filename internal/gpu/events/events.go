@@ -15,9 +15,9 @@
 // remaining active lanes from a shared atomic cursor. The caller opens a
 // window by bumping a generation counter and waits at the barrier on an
 // atomic count of helpers still draining; between windows a helper spins
-// on the counter, yielding its P as it goes, and parks only after a bound
-// several times longer than the usual gap between windows, so a window
-// costs no goroutine wake-up. A panic raised on any worker is recovered
+// on the counter, yielding its P as it goes, so a window costs no goroutine
+// wake-up. A window with one active lane is not opened: the caller runs
+// that lane alone. A panic raised on any worker is recovered
 // and re-raised on Run's caller after the window's barrier, so a broken
 // model invariant surfaces as the caller's panic rather than killing the
 // process from a helper.
@@ -639,12 +639,12 @@ func (e *Engine) Reset() {
 
 // Run drains every lane. workers ≤ 1 (or a non-positive lookahead) selects
 // the serial engine; larger values fan the window's active lanes across that
-// many goroutines, at most one per lane, per P (GOMAXPROCS) and per CPU:
-// the workers spin between windows, so more of them than Ps or CPUs would
-// only take turns. The executed event sequence — and therefore every
+// many goroutines, at most one per lane and one per P (GOMAXPROCS): the
+// workers spin between windows, so more of them than Ps would only take
+// turns. The executed event sequence — and therefore every
 // lane-local state and statistic — is identical in both modes.
 func (e *Engine) Run(workers int) {
-	workers = min(workers, len(e.lanes), runtime.GOMAXPROCS(0), runtime.NumCPU())
+	workers = min(workers, len(e.lanes), runtime.GOMAXPROCS(0))
 	if workers <= 1 || e.lookahead <= 0 {
 		e.runSerial()
 		return
@@ -671,22 +671,22 @@ func (e *Engine) runSerial() {
 	}
 }
 
-// spinLoads bounds how long a helper waits for the next window by spinning
-// on the generation counter before it parks, and spinYield is how often the
-// spin yields: a runtime.Gosched every spinYield loads lets any other
-// runnable goroutine (the workload of a streamed replay, say) take the P.
+// spinYield is how often a worker waiting at the barrier, or a helper
+// waiting for the next window, yields its P: a runtime.Gosched every
+// spinYield loads lets any other runnable goroutine (the workload of a
+// streamed replay, say) take it.
 //
-// The bound is sized from the gaps between windows. Replaying SRAD1 ×
-// TSLC-OPT at 16 B MAG with two workers on a 2-vCPU Xeon opens 5 712
-// windows; a helper waits a median of ≈ 6 µs for the next one, and 99.7 %
-// of its waits end within 131 µs. 1<<17 loads spin for ≈ 0.4 ms there, and
-// the helper parked in 33 of 34 344 waits. At 1<<12 loads (≈ 20 µs) it
-// parked in 28 % of them, paid a wake-up for each, and the replay took
-// ≈ 180 ns per event instead of ≈ 140.
-const (
-	spinLoads = 1 << 17
-	spinYield = 64
-)
+// Helpers never park. Replaying SRAD1 × TSLC-OPT at 16 B MAG with two
+// workers on a 2-vCPU Xeon opens 5 712 windows of ≈ 70 µs; a helper waits a
+// median of ≈ 6 µs for the next one and 99.7 % of its waits end within
+// 131 µs, while waking a parked goroutine costs tens of µs. A variant that
+// parked after 2¹⁷ loads (≈ 0.4 ms) ran fig9-mag no faster than this one
+// (10 alternated pairs, ops_per_s 1.93 against 1.90, within the runs'
+// spread) and the window-barrier race tests no faster either (169 s against
+// 163 s at -cpu 1,2,4). The price is that each helper keeps a P busy, when
+// no other goroutine wants it, for the whole Run; that is why Run caps the
+// workers at GOMAXPROCS.
+const spinYield = 64
 
 // window is the state one parallel time window shares between the calling
 // goroutine and the helper workers: the active lanes, the horizon they drain
@@ -698,8 +698,7 @@ const (
 // The caller opens a window by bumping gen; every helper drains each window
 // once and counts itself out of pending, and the caller's barrier waits for
 // pending to reach zero. Both sides wait by spinning, so a window costs no
-// goroutine wake-up while windows follow each other closely; a helper that
-// spins past spinLoads parks, and the caller wakes only the parked helpers.
+// goroutine wake-up.
 type window struct {
 	lanes   []*Lane
 	horizon float64
@@ -707,30 +706,28 @@ type window struct {
 	gen     atomic.Uint64
 	pending atomic.Int32
 	// quit, set before the final generation bump, stops the helpers.
-	quit    atomic.Bool
-	helpers []*helper
-	exited  sync.WaitGroup
+	quit     atomic.Bool
+	nhelpers int
+	exited   sync.WaitGroup
 	// panicked holds the first panic raised on any worker during the
 	// window, re-raised on the caller after the barrier.
 	mu       sync.Mutex
 	panicked any
 }
 
-// helper is one helper goroutine's parking state. parked is set while the
-// helper may block on wake; the caller sends a token only to a helper it
-// sees parked, and never blocks on the send.
-type helper struct {
-	parked atomic.Bool
-	wake   chan struct{}
-}
-
 // help is a helper goroutine: it drains every window the caller opens until
-// quit.
-func (w *window) help(h *helper) {
+// quit. It waits for the next window by spinning on gen, yielding every
+// spinYield loads.
+func (w *window) help() {
 	defer w.exited.Done()
 	var seen uint64
 	for {
-		seen = w.await(h, seen)
+		for i := 1; w.gen.Load() == seen; i++ {
+			if i%spinYield == 0 {
+				runtime.Gosched()
+			}
+		}
+		seen = w.gen.Load()
 		if w.quit.Load() {
 			return
 		}
@@ -739,54 +736,12 @@ func (w *window) help(h *helper) {
 	}
 }
 
-// await returns the first generation after seen: it spins for it, then
-// parks. The caller bumps gen before it looks at parked, and the helper sets
-// parked before it looks at gen, so one of them sees the other and no
-// wake-up is lost. A token can be stale, though: if the caller saw parked
-// set just as the helper found the new generation on its own, the token
-// waits in the channel until the helper's next park. A wake-up that finds
-// the generation unchanged is therefore spurious, and the helper waits
-// again; draining on it would drain a window twice and leave the barrier
-// waiting forever.
-func (w *window) await(h *helper, seen uint64) uint64 {
-	for i := 1; i <= spinLoads; i++ {
-		if g := w.gen.Load(); g != seen {
-			return g
-		}
-		if i%spinYield == 0 {
-			runtime.Gosched()
-		}
-	}
-	h.parked.Store(true)
-	g := w.gen.Load()
-	for g == seen {
-		<-h.wake
-		g = w.gen.Load()
-	}
-	h.parked.Store(false)
-	return g
-}
-
-// open publishes a window to the helpers and wakes the parked ones.
+// open publishes a window to the helpers.
 func (w *window) open(lanes []*Lane, horizon float64) {
 	w.lanes, w.horizon = lanes, horizon
 	w.next.Store(0)
-	w.pending.Store(int32(len(w.helpers)))
+	w.pending.Store(int32(w.nhelpers))
 	w.gen.Add(1)
-	w.wakeParked()
-}
-
-// wakeParked sends a token to every helper that has parked, unless one is
-// already waiting in its channel.
-func (w *window) wakeParked() {
-	for _, h := range w.helpers {
-		if h.parked.Load() {
-			select {
-			case h.wake <- struct{}{}:
-			default:
-			}
-		}
-	}
 }
 
 // barrier spins until every helper has drained the open window, yielding
@@ -803,7 +758,6 @@ func (w *window) barrier() {
 func (w *window) stop() {
 	w.quit.Store(true)
 	w.gen.Add(1)
-	w.wakeParked()
 	w.exited.Wait()
 }
 
@@ -842,11 +796,10 @@ func (e *Engine) runParallel(workers int) {
 	e.parallel = true
 	defer func() { e.parallel = false }()
 
-	w := &window{helpers: make([]*helper, workers-1)}
-	w.exited.Add(len(w.helpers))
-	for i := range w.helpers {
-		w.helpers[i] = &helper{wake: make(chan struct{}, 1)}
-		go w.help(w.helpers[i])
+	w := &window{nhelpers: workers - 1}
+	w.exited.Add(w.nhelpers)
+	for range w.nhelpers {
+		go w.help()
 	}
 	defer w.stop()
 
@@ -868,11 +821,17 @@ func (e *Engine) runParallel(workers int) {
 				active = append(active, l)
 			}
 		}
-		w.open(active, horizon)
-		w.drain(active[0])
-		w.barrier()
-		if w.panicked != nil {
-			panic(w.panicked)
+		if len(active) == 1 {
+			// A lone lane needs no helper, so the window is not opened:
+			// helpers waiting for the next one need no wake-up for it.
+			active[0].runWindow(horizon)
+		} else {
+			w.open(active, horizon)
+			w.drain(active[0])
+			w.barrier()
+			if w.panicked != nil {
+				panic(w.panicked)
+			}
 		}
 
 		// Deliver buffered messages: the barrier is single-threaded, so

@@ -75,7 +75,7 @@ type Config struct {
 	MC      mc.Config
 	// Workers is the number of goroutines draining the event lanes: ≤ 1
 	// selects the serial engine, larger values the sharded engine (and a
-	// streamed RunRecording), capped at one worker per lane, P and CPU
+	// streamed RunRecording), capped at one worker per lane and per P
 	// (events.Engine.Run). Results are bitwise-identical either way.
 	Workers int
 
