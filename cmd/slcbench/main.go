@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		listMat   = fs.Bool("list-matrix", false, "list registered matrix subsets and exit")
 		out       = fs.String("out", "", "write output to this file instead of stdout")
 		parallel  = fs.Int("parallel", 1, "evaluation workers (0 = all cores, 1 = serial)")
-		simw      = fs.Int("simworkers", 1, "worker goroutines per sharded timing simulation (0 = all cores, 1 = serial engine); > 1 also replays each kernel while the workload computes the next")
+		simw      = fs.Int("simworkers", 1, "worker goroutines per sharded timing simulation (0 = all cores, 1 = one worker with no helper goroutines); > 1 also replays each kernel while the workload computes the next")
 		asJSON    = fs.Bool("json", false, "emit the executed cells as JSON instead of the text report (-all, -fig, -ablations, -matrix)")
 		verbose   = fs.Bool("v", false, "log per-run progress to stderr")
 		store     = storeflag.RegisterOn(fs)

@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		threshold = fs.Int("threshold", 16, "lossy threshold in bytes (lossy codecs only)")
 		bound     = fs.Float64("bound", 0, "absolute error bound (error-bounded codecs only; 0 = codec default)")
 		parallel  = fs.Int("parallel", 1, "worker goroutines for block compression (0 = all cores)")
-		simw      = fs.Int("simworkers", 1, "worker goroutines for the sharded timing simulator (0 = all cores, 1 = serial engine); > 1 also replays each kernel while the workload computes the next; results are identical either way")
+		simw      = fs.Int("simworkers", 1, "worker goroutines for the sharded timing simulator (0 = all cores, 1 = one worker with no helper goroutines); > 1 also replays each kernel while the workload computes the next; results are identical either way")
 		list      = fs.Bool("list", false, "list benchmarks and exit")
 		listCodec = fs.Bool("list-codecs", false, "list registered codecs and exit")
 		verbose   = fs.Bool("v", false, "log progress")

@@ -16,7 +16,7 @@
 // does. -sim additionally replays the recorded trace
 // through the timing simulator; -simworkers shards the replay across event
 // lanes and, above 1, replays each kernel while the workload computes the
-// next (results are identical to the serial engine).
+// next (results are identical at every worker count).
 package main
 
 import (
@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bound     = fs.Float64("bound", 0, "absolute error bound (error-bounded codecs only; 0 = codec default)")
 		parallel  = fs.Int("parallel", 1, "worker goroutines for block compression (0 = all cores)")
 		simulate  = fs.Bool("sim", false, "also replay the trace through the timing simulator")
-		simw      = fs.Int("simworkers", 1, "worker goroutines for the sharded timing simulator (0 = all cores, 1 = serial engine); > 1 also replays each kernel while the workload computes the next")
+		simw      = fs.Int("simworkers", 1, "worker goroutines for the sharded timing simulator (0 = all cores, 1 = one worker with no helper goroutines); > 1 also replays each kernel while the workload computes the next")
 		store     = storeflag.RegisterOn(fs)
 	)
 	if err := fs.Parse(args); err != nil {

@@ -180,8 +180,8 @@ type Runner struct {
 	// goroutines (one event lane per DRAM channel plus the SM/L2
 	// coordinator; see sim.Config.Workers) and also overlaps the replay
 	// with the workload: each kernel is replayed on its own goroutine while
-	// the workload computes the next. Results are bitwise-identical to the
-	// serial engine, so memoised cells are unaffected.
+	// the workload computes the next. Results are bitwise-identical at
+	// every worker count, so memoised cells are unaffected.
 	SimWorkers int
 
 	progressMu sync.Mutex

@@ -62,15 +62,15 @@ func (b *barrierLane) HandleEvent(now float64, ev Event) {
 }
 
 // runBarrierModel runs the barrier model with the given coordinator-only
-// stretches at the given worker count and returns every lane's log.
-func runBarrierModel(lanes, workers int, stretch []time.Duration) [][]string {
+// stretches through drain and returns every lane's log.
+func runBarrierModel(lanes int, stretch []time.Duration, drain func(*Engine)) [][]string {
 	e := NewEngine(lanes, 10)
 	logs := make([][]string, lanes)
 	for i := range logs {
 		e.Lane(i).SetHandler(KindTest, &barrierLane{e: e, id: i, stretch: stretch, log: &logs[i]})
 	}
 	e.Lane(0).AtEvent(0, Event{Kind: KindTest, Op: opStretch})
-	e.Run(workers)
+	drain(e)
 	return logs
 }
 
@@ -79,18 +79,18 @@ func runBarrierModel(lanes, workers int, stretch []time.Duration) [][]string {
 // for the next window, with windows in which every lane is busy. The
 // stretches sweep from nothing to a millisecond, tens of windows' worth, so
 // a window opens at every point of a helper's wait. The dispatch order must
-// be the serial engine's at every worker count, and a window drained twice
-// or never counted out hangs the barrier until the test's -timeout.
+// be the key order's at every worker count, and a window drained twice or
+// never counted out hangs the barrier until the test's -timeout.
 func TestBarrierStretchesAndBusyWindows(t *testing.T) {
 	const rounds = 32
 	stretch := make([]time.Duration, rounds)
 	for r := range stretch {
 		stretch[r] = time.Millisecond * time.Duration(r) / (rounds - 1)
 	}
-	want := runBarrierModel(4, 1, stretch)
-	for _, workers := range []int{2, 3, 4} {
-		if got := runBarrierModel(4, workers, stretch); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: logs diverge from serial\nserial:   %v\nparallel: %v", workers, want, got)
+	want := runBarrierModel(4, stretch, runKeyOrder)
+	for _, workers := range []int{1, 2, 3, 4} {
+		if got := runBarrierModel(4, stretch, withWorkers(workers)); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: logs diverge from key order\nkey order: %v\nRun:       %v", workers, want, got)
 		}
 	}
 }
@@ -102,10 +102,26 @@ func TestBarrierStretchesAndBusyWindows(t *testing.T) {
 func TestBarrierHelpersExit(t *testing.T) {
 	for _, workers := range []int{2, 3, 4} {
 		before := runtime.NumGoroutine()
-		runPingPong(4, workers, 5)
+		runPingPong(4, 5, withWorkers(workers))
 		waitGoroutines(t, before)
 
-		runBarrierModel(4, workers, []time.Duration{0, 2 * time.Millisecond})
+		runBarrierModel(4, []time.Duration{0, 2 * time.Millisecond}, withWorkers(workers))
 		waitGoroutines(t, before)
 	}
+}
+
+// TestBarrierHelperStartsFromCurrentGeneration: the window's generation
+// counter keeps counting across Runs, so a helper launched by a later Run
+// must wait for that Run's first window. One that took the previous Run's
+// last window for a new one would count itself out of pending before any
+// window opened.
+func TestBarrierHelperStartsFromCurrentGeneration(t *testing.T) {
+	var w window
+	w.gen.Store(7) // the windows of earlier Runs
+	w.start(2)
+	time.Sleep(10 * time.Millisecond)
+	if n := w.pending.Load(); n != 0 {
+		t.Errorf("pending = %d before any window opened: a helper drained a stale window", n)
+	}
+	w.stop()
 }

@@ -56,30 +56,59 @@ func (p *pingPongLane) HandleEvent(now float64, ev Event) {
 	}
 }
 
-// pingPong wires the pingPong workload onto every lane of e and seeds its
-// first round.
-func pingPong(e *Engine, rounds int, logs [][]string) {
-	for i := 0; i < e.Lanes(); i++ {
-		e.Lane(i).SetHandler(KindTest, &pingPongLane{e: e, id: i, rounds: uint32(rounds), log: &logs[i]})
+// pingPong wires the pingPong workload onto every lane of e and returns
+// the lanes' handlers; a round starts with an opRound event on lane 0.
+func pingPong(e *Engine, rounds int, logs [][]string) []*pingPongLane {
+	lanes := make([]*pingPongLane, e.Lanes())
+	for i := range lanes {
+		lanes[i] = &pingPongLane{e: e, id: i, rounds: uint32(rounds), log: &logs[i]}
+		e.Lane(i).SetHandler(KindTest, lanes[i])
 	}
-	e.Lane(0).AtEvent(0, Event{Kind: KindTest, Op: opRound})
+	return lanes
 }
 
-func runPingPong(lanes, workers, rounds int) [][]string {
+func runPingPong(lanes, rounds int, drain func(*Engine)) [][]string {
 	e := NewEngine(lanes, 10)
 	logs := make([][]string, lanes)
 	pingPong(e, rounds, logs)
-	e.Run(workers)
+	e.Lane(0).AtEvent(0, Event{Kind: KindTest, Op: opRound})
+	drain(e)
 	return logs
+}
+
+// runKeyOrder is the reference every worker count of Run is compared
+// against: it drains e one event at a time, always stepping the lane whose
+// next event has the smallest (t, src, seq) key. The engine's parallel flag
+// stays off, so a cross-lane send goes straight into its target's schedule,
+// which is safe because only one lane runs at a time.
+func runKeyOrder(e *Engine) {
+	for {
+		var best *Lane
+		for _, l := range e.lanes {
+			if len(l.h) > 0 && (best == nil || entLess(l.h[0], best.h[0])) {
+				best = l
+			}
+		}
+		if best == nil {
+			return
+		}
+		best.step()
+	}
+}
+
+// withWorkers returns a drain that runs the engine at the given worker
+// count.
+func withWorkers(n int) func(*Engine) {
+	return func(e *Engine) { e.Run(n) }
 }
 
 func TestEngineSerialParallelIdentical(t *testing.T) {
 	for _, lanes := range []int{2, 4, 13} {
-		want := runPingPong(lanes, 1, 20)
-		for _, workers := range []int{2, 3, lanes} {
-			got := runPingPong(lanes, workers, 20)
+		want := runPingPong(lanes, 20, runKeyOrder)
+		for _, workers := range []int{1, 2, 3, lanes} {
+			got := runPingPong(lanes, 20, withWorkers(workers))
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("lanes=%d workers=%d: logs diverge from serial\nserial:   %v\nparallel: %v",
+				t.Errorf("lanes=%d workers=%d: logs diverge from key order\nkey order: %v\nRun:       %v",
 					lanes, workers, want, got)
 			}
 		}
@@ -142,39 +171,45 @@ func TestEngineSameLaneSendHasNoLatencyFloor(t *testing.T) {
 	}
 }
 
+// TestEngineReusableAcrossRuns: kernels run back to back, so one engine
+// must drain, accept new events at later times, and drain again, while the
+// worker count changes from one Run to the next. The window and its
+// generation counter live on the Engine across Runs; a helper that took the
+// previous Run's last window for a new one would drain it again and hang
+// the barrier. Every Run's dispatch order must be the key order's, and
+// every helper must be gone after each Run.
 func TestEngineReusableAcrossRuns(t *testing.T) {
-	// Kernels run back to back: the engine must drain, accept new events at
-	// later times, and drain again — in both modes.
-	for _, workers := range []int{1, 4} {
+	const roundsPerRun = 3
+	sequence := []int{1, 4, 1, 2, 2, 3, 1}
+	replay := func(drain func(e *Engine, run int)) [][]string {
 		e := NewEngine(4, 10)
-		perLane := make([]int, e.Lanes()) // lane-local counters: lanes must not share state
-		coord := e.Lane(0)
-		coord.SetHandler(KindTest, handlerFunc(func(now float64, ev Event) {
-			for i := 1; i < e.Lanes(); i++ {
-				coord.SendEvent(e.Lane(i), now+10, Event{Kind: KindTest, A: uint32(i)})
+		logs := make([][]string, e.Lanes())
+		lanes := pingPong(e, 0, logs)
+		last := -1.0
+		for run := range sequence {
+			for _, p := range lanes {
+				p.rounds = uint32(roundsPerRun * (run + 1))
 			}
-		}))
-		for i := 1; i < e.Lanes(); i++ {
-			e.Lane(i).SetHandler(KindTest, handlerFunc(func(now float64, ev Event) { perLane[ev.A]++ }))
+			e.Lane(0).AtEvent(e.Now(), Event{Kind: KindTest, Op: opRound, A: uint32(roundsPerRun * run)})
+			drain(e, run)
+			if e.Now() <= last {
+				t.Errorf("run %d: time did not advance across runs", run)
+			}
+			if e.Pending() != 0 {
+				t.Errorf("run %d: %d events left pending", run, e.Pending())
+			}
+			last = e.Now()
 		}
-		coord.AtEvent(0, Event{Kind: KindTest})
-		e.Run(workers)
-		first := e.Now()
-		coord.AtEvent(first, Event{Kind: KindTest})
-		e.Run(workers)
-		total := 0
-		for _, n := range perLane {
-			total += n
-		}
-		if total != 6 {
-			t.Errorf("workers=%d: ran %d cross-lane events, want 6", workers, total)
-		}
-		if e.Now() <= first {
-			t.Errorf("workers=%d: time did not advance across runs", workers)
-		}
-		if e.Pending() != 0 {
-			t.Errorf("workers=%d: %d events left pending", workers, e.Pending())
-		}
+		return logs
+	}
+	want := replay(func(e *Engine, _ int) { runKeyOrder(e) })
+	before := runtime.NumGoroutine()
+	got := replay(func(e *Engine, run int) {
+		e.Run(sequence[run])
+		waitGoroutines(t, before)
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("workers %v: logs diverge from key order\nkey order: %v\nRun:       %v", sequence, want, got)
 	}
 }
 
@@ -196,11 +231,12 @@ func TestEngineClampsPastTimes(t *testing.T) {
 }
 
 // TestEngineParallelPanicReachesCaller: a handler panicking on a channel
-// lane — which the parallel engine may run on a helper goroutine — must
-// unwind Run's caller after the window's barrier instead of killing the
-// process, and must leave no helper goroutine behind.
+// lane — which Run may run on a helper goroutine — must unwind Run's caller
+// after the window's barrier instead of killing the process, and must leave
+// no helper goroutine behind. After a Reset the engine runs again without
+// re-raising the old panic.
 func TestEngineParallelPanicReachesCaller(t *testing.T) {
-	for _, workers := range []int{2, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		before := runtime.NumGoroutine()
 		e := NewEngine(4, 10)
 		for i := 1; i < e.Lanes(); i++ {
@@ -226,6 +262,12 @@ func TestEngineParallelPanicReachesCaller(t *testing.T) {
 			t.Errorf("workers=%d: Run recovered %v, want the lane's panic", workers, got)
 		}
 		waitGoroutines(t, before)
+
+		e.Reset()
+		e.Lane(1).AtEvent(0, Event{Kind: KindTest, A: 1})
+		e.Lane(3).AtEvent(0, Event{Kind: KindTest, A: 3})
+		e.Run(workers)
+		waitGoroutines(t, before)
 	}
 }
 
@@ -244,9 +286,9 @@ func waitGoroutines(t *testing.T, baseline int) {
 
 // stressHandler reschedules pseudo-randomly: each dispatched event fans out
 // to 0–2 follow-ups on pseudo-random lanes until the lane's budget is
-// spent. The budget is lane-local (handlers run concurrently in parallel
-// mode) and each lane's dispatch sequence is deterministic, so the executed
-// count must match on any worker count.
+// spent. The budget is lane-local (handlers run concurrently at more than
+// one worker) and each lane's dispatch sequence is deterministic, so the
+// executed count must match on any worker count.
 type stressHandler struct {
 	eng    *Engine
 	lane   *Lane
@@ -267,13 +309,14 @@ func (h *stressHandler) HandleEvent(now float64, ev Event) {
 }
 
 // TestEventPoolReuseStress hammers acquire/release across lanes, replay
-// resets, and both engine modes. Under the eventsdebug build tag (CI runs
-// this test with -tags eventsdebug -race) every release poisons the record
-// and every acquire/dispatch verifies it, so a freelist double-release or a
-// use-after-release anywhere in the machinery panics here.
+// resets and worker counts, against the key-order reference. Under the
+// eventsdebug build tag (CI runs this test with -tags eventsdebug -race)
+// every release poisons the record and every acquire/dispatch verifies it,
+// so a freelist double-release or a use-after-release anywhere in the
+// machinery panics here.
 func TestEventPoolReuseStress(t *testing.T) {
 	const lanes = 5
-	run := func(workers int) int64 {
+	run := func(drain func(*Engine)) int64 {
 		eng := NewEngine(lanes, 1)
 		handlers := make([]*stressHandler, lanes)
 		for i := 0; i < lanes; i++ {
@@ -289,16 +332,18 @@ func TestEventPoolReuseStress(t *testing.T) {
 			for i := 0; i < lanes; i++ {
 				eng.Lane(i).AtEvent(float64(i%3), Event{Kind: KindTest, A: uint32(i)*2654435761 + 7})
 			}
-			eng.Run(workers)
+			drain(eng)
 			total += eng.Executed()
 		}
 		return total
 	}
-	serial := run(1)
-	if serial < 3*lanes {
-		t.Fatalf("stress executed only %d events", serial)
+	want := run(runKeyOrder)
+	if want < 3*lanes {
+		t.Fatalf("stress executed only %d events", want)
 	}
-	if par := run(3); par != serial {
-		t.Fatalf("parallel stress executed %d events, serial %d", par, serial)
+	for _, workers := range []int{1, 3} {
+		if got := run(withWorkers(workers)); got != want {
+			t.Fatalf("stress at %d workers executed %d events, key order %d", workers, got, want)
+		}
 	}
 }

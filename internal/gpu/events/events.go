@@ -5,19 +5,22 @@
 // component's state (one DRAM channel, or the SM/L2 front-end), exchanging
 // timestamped cross-lane messages. Events are ordered by a (time, source
 // lane, source sequence) key that is independent of how execution is
-// scheduled, so the serial path (one worker draining all lanes in global key
-// order) and the parallel path (conservative time windows bounded by the
-// minimum cross-lane latency) replay identically, event for event.
+// scheduled. The engine drains the lanes in conservative time windows
+// bounded by the minimum cross-lane latency, and cross-lane messages wait
+// for the window's barrier, so every worker count replays identically,
+// event for event, in the order of one worker stepping the lane with the
+// smallest key.
 //
-// In a parallel window the calling goroutine runs the coordinator lane (lane
-// 0, the heaviest: about half of a simulator replay's events) first, while
-// the helper goroutines and then the caller itself claim the window's
-// remaining active lanes from a shared atomic cursor. The caller opens a
-// window by bumping a generation counter and waits at the barrier on an
-// atomic count of helpers still draining; between windows a helper spins
-// on the counter, yielding its P as it goes, so a window costs no goroutine
-// wake-up. A window with one active lane is not opened: the caller runs
-// that lane alone. A panic raised on any worker is recovered
+// In a window the calling goroutine runs the coordinator lane (lane 0, the
+// heaviest: about half of a simulator replay's events) first, while the
+// helper goroutines, if any, and then the caller itself claim the window's
+// remaining active lanes from a shared atomic cursor. With one worker there
+// are no helpers and the caller drains every active lane itself. The
+// caller opens a window by bumping a generation counter and waits at the
+// barrier on an atomic count of helpers still draining; between windows a
+// helper spins on the counter, yielding its P as it goes, so a window costs
+// no goroutine wake-up. A window with one active lane is not opened: the
+// caller runs that lane alone. A panic raised on any worker is recovered
 // and re-raised on Run's caller after the window's barrier, so a broken
 // model invariant surfaces as the caller's panic rather than killing the
 // process from a helper.
@@ -286,7 +289,7 @@ func (p *pool) reset() {
 	p.free = p.free[:0]
 }
 
-// outMsg is a cross-lane message buffered during a parallel window: the full
+// outMsg is a cross-lane message buffered during a window: the full
 // packed ordering key, the target queue's number (0 for a loose event) and
 // the event by value (it is copied into the target lane's pool at the
 // barrier, never shared).
@@ -430,7 +433,7 @@ func (l *Lane) seqOverflow() {
 }
 
 // checkSend validates a cross-lane send time against the engine's lookahead,
-// which is what lets the parallel engine run lanes concurrently inside a
+// which is what lets Run drain lanes concurrently inside a
 // time window without ever delivering a message into a lane's past.
 func (l *Lane) checkSend(to *Lane, t float64) {
 	if t < l.now+l.eng.lookahead {
@@ -443,15 +446,15 @@ func (l *Lane) checkSend(to *Lane, t float64) {
 // event executing on this lane. Cross-lane sends must respect the engine's
 // lookahead: t must be at least the sending lane's Now plus the lookahead.
 // Sending to the own lane is a plain AtEvent with no latency constraint.
-// During a parallel window the message is buffered in the outbox for
-// delivery at the barrier; in serial mode it goes straight into the
-// target's schedule (safe: only one lane runs at a time).
+// During Run the message is buffered in the outbox for delivery at the
+// window's barrier; between Runs it goes straight into the target's
+// schedule (safe: no lane runs then).
 //
 //slclint:allocfree
 func (l *Lane) SendEvent(to *Lane, t float64, ev Event) { l.send(to, 0, t, ev) }
 
 // SendQueue is SendEvent through queue q, on the lane q is registered on;
-// the barrier of a parallel window delivers the message into q.
+// the barrier of a window delivers the message into q.
 //
 //slclint:allocfree
 func (l *Lane) SendQueue(q Queue, t float64, ev Event) { l.send(q.lane, q.id, t, ev) }
@@ -541,28 +544,33 @@ func (l *Lane) reset() {
 	l.fallbacks = 0
 }
 
-// Engine is a set of lanes sharing a simulated clock. Run(1) drains the
-// lanes serially in global key order — the reference serial engine. Run(n)
-// for n > 1 drains them in conservative time windows: all lanes holding an
-// event inside [T, T+lookahead) execute concurrently, where T is the global
-// minimum pending time; the lookahead (the minimum cross-lane message
-// latency, enforced by SendEvent) guarantees no message generated inside the
-// window can land inside it, so the two modes replay bitwise-identically.
+// Engine is a set of lanes sharing a simulated clock, drained by Run in
+// conservative time windows.
 type Engine struct {
 	lanes     []*Lane
 	lookahead float64
-	parallel  bool
+	// parallel is set while Run drains: a cross-lane send then waits in its
+	// lane's outbox for the window's barrier.
+	parallel bool
+	// win and active are Run's window and active-lane list, kept across
+	// Runs so that a steady-state replay allocates nothing.
+	win    window
+	active []*Lane
 }
 
 // NewEngine builds an engine with n lanes. lookahead is the minimum latency
-// every cross-lane SendEvent must carry; it must be positive for parallel
-// runs (Run falls back to serial otherwise). n must fit the packed event
-// key's srcBits.
+// every cross-lane SendEvent must carry and the width of Run's windows; it
+// must be positive when there is more than one lane. A one-lane engine
+// sends nothing across lanes, so its lookahead is not used: Run drains its
+// lane in one window. n must fit the packed event key's srcBits.
 func NewEngine(n int, lookahead float64) *Engine {
 	if n > 1<<srcBits {
 		panic(fmt.Sprintf("events: %d lanes, beyond the key's %d-bit lane id", n, srcBits))
 	}
-	e := &Engine{lanes: make([]*Lane, n), lookahead: lookahead}
+	if n > 1 && !(lookahead > 0) {
+		panic(fmt.Sprintf("events: %d lanes need a positive lookahead, got %g", n, lookahead))
+	}
+	e := &Engine{lanes: make([]*Lane, n), lookahead: lookahead, active: make([]*Lane, 0, n)}
 	for i := range e.lanes {
 		e.lanes[i] = &Lane{id: int32(i), eng: e, queues: make([]ring, 1)}
 	}
@@ -604,9 +612,9 @@ func (e *Engine) Pending() int {
 }
 
 // Executed returns the total number of events dispatched across lanes since
-// the engine was built or last Reset. It is deterministic — the serial and
-// parallel modes execute the identical event sequence — but must only be
-// read between Run calls.
+// the engine was built or last Reset. It is deterministic — every worker
+// count executes the identical event sequence — but must only be read
+// between Run calls.
 func (e *Engine) Executed() int64 {
 	var n int64
 	for _, l := range e.lanes {
@@ -618,7 +626,9 @@ func (e *Engine) Executed() int64 {
 // Fallbacks returns how many events scheduled through a queue since the
 // engine was built or last Reset arrived below their queue's last entry and
 // went onto the heap loose. Fallbacks never change the dispatch order, only
-// its cost; the count is deterministic for a given schedule and mode.
+// its cost. The count is deterministic for a given schedule and the same
+// at every worker count, because every worker count delivers cross-lane
+// messages in the barrier's order.
 func (e *Engine) Fallbacks() int64 {
 	var n int64
 	for _, l := range e.lanes {
@@ -634,40 +644,6 @@ func (e *Engine) Fallbacks() int64 {
 func (e *Engine) Reset() {
 	for _, l := range e.lanes {
 		l.reset()
-	}
-}
-
-// Run drains every lane. workers ≤ 1 (or a non-positive lookahead) selects
-// the serial engine; larger values fan the window's active lanes across that
-// many goroutines, at most one per lane and one per P (GOMAXPROCS): the
-// workers spin between windows, so more of them than Ps would only take
-// turns. The executed event sequence — and therefore every
-// lane-local state and statistic — is identical in both modes.
-func (e *Engine) Run(workers int) {
-	workers = min(workers, len(e.lanes), runtime.GOMAXPROCS(0))
-	if workers <= 1 || e.lookahead <= 0 {
-		e.runSerial()
-		return
-	}
-	e.runParallel(workers)
-}
-
-// runSerial executes events one at a time in global (t, src, seq) order.
-func (e *Engine) runSerial() {
-	for {
-		var best *Lane
-		for _, l := range e.lanes {
-			if len(l.h) == 0 {
-				continue
-			}
-			if best == nil || entLess(l.h[0], best.h[0]) {
-				best = l
-			}
-		}
-		if best == nil {
-			return
-		}
-		best.step()
 	}
 }
 
@@ -688,8 +664,8 @@ func (e *Engine) runSerial() {
 // workers at GOMAXPROCS.
 const spinYield = 64
 
-// window is the state one parallel time window shares between the calling
-// goroutine and the helper workers: the active lanes, the horizon they drain
+// window is the state one time window shares between the calling goroutine
+// and the helper workers: the active lanes, the horizon they drain
 // to, and the cursor the workers claim lanes from. Index 0 is never claimed
 // from the cursor — the caller runs it first — so the coordinator lane, the
 // heaviest when active, starts the moment the window opens instead of
@@ -698,7 +674,8 @@ const spinYield = 64
 // The caller opens a window by bumping gen; every helper drains each window
 // once and counts itself out of pending, and the caller's barrier waits for
 // pending to reach zero. Both sides wait by spinning, so a window costs no
-// goroutine wake-up.
+// goroutine wake-up. The Engine keeps one window for all its Runs; gen keeps
+// counting across them.
 type window struct {
 	lanes   []*Lane
 	horizon float64
@@ -715,12 +692,25 @@ type window struct {
 	panicked any
 }
 
-// help is a helper goroutine: it drains every window the caller opens until
-// quit. It waits for the next window by spinning on gen, yielding every
-// spinYield loads.
-func (w *window) help() {
+// start launches n helpers for one Run. Each starts from the generation
+// current at launch: gen only grows across Runs, so a helper that started
+// from an older one would take the previous Run's last window for a new one.
+func (w *window) start(n int) {
+	w.nhelpers = n
+	w.quit.Store(false)
+	w.panicked = nil
+	w.exited.Add(n)
+	seen := w.gen.Load()
+	for range n {
+		go w.help(seen)
+	}
+}
+
+// help is a helper goroutine: it drains every window the caller opens after
+// generation seen, until quit. It waits for the next window by spinning on
+// gen, yielding every spinYield loads.
+func (w *window) help(seen uint64) {
 	defer w.exited.Done()
-	var seen uint64
 	for {
 		for i := 1; w.gen.Load() == seen; i++ {
 			if i%spinYield == 0 {
@@ -784,26 +774,30 @@ func (w *window) drain(first *Lane) {
 	}
 }
 
-// runParallel executes conservative time windows on workers goroutines: the
-// caller and workers−1 helpers that live for the whole run. Each window:
-// find the global minimum pending time T, let every lane with events below
-// T+lookahead drain that range concurrently, then deliver the buffered
-// cross-lane messages (all provably at or beyond the horizon) and repeat.
-// The calling goroutine runs the window's first active lane (lane 0, the
-// coordinator, whenever it is active) and then joins the helpers in
-// claiming the rest from the window's cursor.
-func (e *Engine) runParallel(workers int) {
+// Run drains every lane in conservative time windows on workers
+// goroutines: the caller and workers−1 helpers that live for the whole Run,
+// at most one per lane and one per P (GOMAXPROCS): the helpers spin between
+// windows, so more of them than Ps would only take turns. workers ≤ 1 means
+// the caller alone, with no helper goroutine. Each window: find the global
+// minimum pending time T, let every lane with events below T+lookahead
+// drain that range, then deliver the buffered cross-lane messages and
+// repeat. The lookahead, the minimum cross-lane latency that SendEvent
+// enforces, puts every message at or beyond the window's horizon, so each
+// lane executes its events in (t, src, seq) key order and the executed
+// sequence — and therefore every lane-local state and statistic — is the
+// same at every worker count. The calling goroutine runs the window's first
+// active lane (lane 0, the coordinator, whenever it is active) and then
+// joins the helpers in claiming the rest from the window's cursor.
+func (e *Engine) Run(workers int) {
+	w := &e.win
 	e.parallel = true
-	defer func() { e.parallel = false }()
+	w.start(max(1, min(workers, len(e.lanes), runtime.GOMAXPROCS(0))) - 1)
+	defer e.stop()
 
-	w := &window{nhelpers: workers - 1}
-	w.exited.Add(w.nhelpers)
-	for range w.nhelpers {
-		go w.help()
+	span := e.lookahead
+	if len(e.lanes) == 1 {
+		span = math.Inf(1) // a lone lane waits for no message
 	}
-	defer w.stop()
-
-	active := make([]*Lane, 0, len(e.lanes))
 	for {
 		T := math.Inf(1)
 		for _, l := range e.lanes {
@@ -814,8 +808,8 @@ func (e *Engine) runParallel(workers int) {
 		if math.IsInf(T, 1) {
 			return
 		}
-		horizon := T + e.lookahead
-		active = active[:0]
+		horizon := T + span
+		active := e.active[:0]
 		for _, l := range e.lanes {
 			if l.headTime() < horizon {
 				active = append(active, l)
@@ -850,4 +844,11 @@ func (e *Engine) runParallel(workers int) {
 			l.outbox = l.outbox[:0]
 		}
 	}
+}
+
+// stop ends a Run, on return or panic: it stops the helpers and sends
+// cross-lane messages straight to their target again, as between Runs.
+func (e *Engine) stop() {
+	e.win.stop()
+	e.parallel = false
 }

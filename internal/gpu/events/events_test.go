@@ -17,7 +17,8 @@ type handlerFunc func(now float64, ev Event)
 
 func (f handlerFunc) HandleEvent(now float64, ev Event) { f(now, ev) }
 
-// oneLane returns a one-lane engine and its lane.
+// oneLane returns a one-lane engine and its lane. Its lookahead is zero:
+// Run drains a lone lane in one unbounded window.
 func oneLane() (*Engine, *Lane) {
 	e := NewEngine(1, 0)
 	return e, e.Lane(0)

@@ -104,3 +104,12 @@ func TestKeyOverflowPanics(t *testing.T) {
 	mustPanic(t, "SendEvent past the sequence limit", func() { l.SendEvent(e.Lane(1), 5, Event{Kind: KindTest}) })
 	mustPanic(t, "NewEngine past the lane limit", func() { NewEngine(1<<srcBits+1, 1) })
 }
+
+// TestZeroLookaheadPanics: a window is lookahead wide, so an engine with
+// more than one lane and no positive lookahead, whose windows would drain
+// nothing, is refused before it is built. One lane needs none (oneLane).
+func TestZeroLookaheadPanics(t *testing.T) {
+	mustPanic(t, "NewEngine(2, 0)", func() { NewEngine(2, 0) })
+	mustPanic(t, "NewEngine(3, -1)", func() { NewEngine(3, -1) })
+	mustPanic(t, "NewEngine(2, NaN)", func() { NewEngine(2, math.NaN()) })
+}

@@ -82,9 +82,9 @@ func newQueueSchedule(lanes int, loose bool) *queueSchedule {
 	return s
 }
 
-// run replays the schedule from a Reset and returns every lane's dispatch
-// log.
-func (s *queueSchedule) run(workers int) [][]dispatched {
+// run replays the schedule from a Reset through drain and returns every
+// lane's dispatch log.
+func (s *queueSchedule) run(drain func(*Engine)) [][]dispatched {
 	s.eng.Reset()
 	for i, h := range s.handlers {
 		h.budget, h.log = 3000, nil
@@ -92,7 +92,7 @@ func (s *queueSchedule) run(workers int) [][]dispatched {
 			s.eng.Lane(i).AtEvent(float64(k%3), Event{Kind: KindTest, Addr: uint64(i*4+k)*2654435761 + 5})
 		}
 	}
-	s.eng.Run(workers)
+	drain(s.eng)
 	logs := make([][]dispatched, len(s.handlers))
 	for i, h := range s.handlers {
 		logs[i] = h.log
@@ -103,12 +103,12 @@ func (s *queueSchedule) run(workers int) [][]dispatched {
 // TestQueuesMatchLooseOrder: routing a random schedule through ordered
 // queues — including out-of-order pushes onto one queue of every lane and
 // cross-lane queue sends — dispatches every lane's events in exactly the
-// order the same schedule has with every event loose, on the serial engine
-// and at 2 and 4 workers, and again after a Reset.
+// order the same schedule has with every event loose in the key-order
+// reference, at 1, 2 and 4 workers, and again after a Reset.
 func TestQueuesMatchLooseOrder(t *testing.T) {
 	const lanes = 4
 	ref := newQueueSchedule(lanes, true)
-	want := ref.run(1)
+	want := ref.run(runKeyOrder)
 	if ref.eng.Fallbacks() != 0 {
 		t.Fatalf("an all-loose run counted %d fallbacks", ref.eng.Fallbacks())
 	}
@@ -123,7 +123,7 @@ func TestQueuesMatchLooseOrder(t *testing.T) {
 		s := newQueueSchedule(lanes, false)
 		for replay := 0; replay < 2; replay++ {
 			name := fmt.Sprintf("workers %d, replay %d", workers, replay)
-			got := s.run(workers)
+			got := s.run(withWorkers(workers))
 			if !reflect.DeepEqual(got, want) {
 				for i := range want {
 					if !reflect.DeepEqual(got[i], want[i]) {

@@ -11,7 +11,7 @@
 // own lane. The two are decoupled by the memory-path latency, which is
 // exactly the cross-lane message latency — the lookahead that lets the
 // engine run channel lanes concurrently while replaying bitwise-identically
-// to the serial engine. Per-channel statistics accumulate in lane-local
+// at every worker count. Per-channel statistics accumulate in lane-local
 // shards and are merged only after the engine has drained.
 package mc
 

@@ -65,7 +65,7 @@ func benchSRAD1(b *testing.B, workers int) {
 }
 
 // BenchmarkSimSRAD1MAG16Serial and BenchmarkSimSRAD1MAG16Sharded2 replay the
-// recorded SRAD1 trace on the serial engine and at two workers, the shape of
-// a fig9-mag cell.
+// recorded SRAD1 trace at one worker (no helper goroutine, the shape of a
+// fig7-cold cell) and at two workers, the shape of a fig9-mag cell.
 func BenchmarkSimSRAD1MAG16Serial(b *testing.B)   { benchSRAD1(b, 1) }
 func BenchmarkSimSRAD1MAG16Sharded2(b *testing.B) { benchSRAD1(b, 2) }

@@ -14,11 +14,12 @@
 // The simulator is sharded across event lanes: the SM/L2/controller
 // front-end runs on a coordinator lane and every GDDR5 channel on its own
 // lane, exchanging messages that always carry at least the memory-path
-// latency. That latency is the engine's lookahead, so Config.Workers > 1
-// replays the lanes concurrently inside conservative time windows with
-// results bitwise-identical to the serial engine (Workers ≤ 1). With
-// Workers > 1, RunRecording also overlaps the replay with the workload that
-// records the trace, replaying each kernel as soon as it is finished.
+// latency. That latency is the engine's lookahead: the engine drains the
+// lanes in conservative time windows of that width, and Config.Workers > 1
+// drains a window's lanes concurrently, with results bitwise-identical at
+// every worker count. With Workers > 1, RunRecording also overlaps the
+// replay with the workload that records the trace, replaying each kernel as
+// soon as it is finished.
 //
 // Warp progress is driven by small value Event records
 // (opTryIssue/opIssue/opRespond) dispatched through the lanes' handler
@@ -66,17 +67,18 @@ type Config struct {
 	L2HitCycles int
 	// MemPathCycles is the one-way SM-cycle cost between L2 and the memory
 	// controllers (interconnect + queuing), paid on each side of a miss.
-	// It is also the sharded engine's lookahead: the minimum latency of
-	// every cross-lane message.
+	// It is also the event engine's lookahead: the minimum latency of
+	// every cross-lane message. It must be positive.
 	MemPathCycles int
 	// WarpMLP is the per-warp memory-level parallelism: how many loads a
 	// warp keeps in flight before stalling (scoreboarded stall-on-use).
 	WarpMLP int
 	MC      mc.Config
 	// Workers is the number of goroutines draining the event lanes: ≤ 1
-	// selects the serial engine, larger values the sharded engine (and a
-	// streamed RunRecording), capped at one worker per lane and per P
-	// (events.Engine.Run). Results are bitwise-identical either way.
+	// means the calling goroutine alone, larger values add helper
+	// goroutines (and a streamed RunRecording), capped at one worker per
+	// lane and per P (events.Engine.Run). Results are bitwise-identical at
+	// every worker count.
 	Workers int
 
 	// Display-only fields of Table II (not modelled directly: the L1 is
@@ -212,8 +214,8 @@ func (c Config) validate() error {
 	if !c.MAG.Valid() {
 		return fmt.Errorf("sim: invalid MAG %d", c.MAG)
 	}
-	if c.MemPathCycles < 0 {
-		return fmt.Errorf("sim: negative MemPathCycles %d", c.MemPathCycles)
+	if c.MemPathCycles <= 0 {
+		return fmt.Errorf("sim: MemPathCycles %d, want a positive latency", c.MemPathCycles)
 	}
 	return nil
 }

@@ -261,6 +261,17 @@ func TestInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestZeroMemPathRejected: the memory-path latency is the engine's
+// lookahead, so New refuses zero with an error instead of building an engine
+// whose windows would drain nothing.
+func TestZeroMemPathRejected(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MemPathCycles = 0
+	if _, err := New(cfg); err == nil {
+		t.Error("MemPathCycles 0 accepted")
+	}
+}
+
 func TestL1FlushedBetweenKernels(t *testing.T) {
 	// Kernel 2 re-reads kernel 1's block: the L1 is flushed at the kernel
 	// boundary, so the re-read misses L1 but hits L2.
@@ -304,10 +315,11 @@ func mixedTrace() *trace.Trace {
 	return &trace.Trace{Kernels: []trace.Kernel{k1, k2}}
 }
 
-// TestShardedMatchesSerial is the determinism bar of the sharded engine:
-// the same trace replayed with 2, 4 and 12 workers must produce a Result
-// bitwise-identical to the serial engine (Workers = 1). Run under -race in
-// CI, this doubles as the data-race check on the lane partitioning.
+// TestShardedMatchesSerial is the determinism bar of the event engine: the
+// same trace replayed with 2, 4 and 12 workers must produce a Result
+// bitwise-identical to one worker (Workers = 1), whose results the replay
+// fixtures pin. Run under -race in CI, this doubles as the data-race check
+// on the lane partitioning.
 func TestShardedMatchesSerial(t *testing.T) {
 	traces := map[string]*trace.Trace{
 		"stream":    streamTrace(128, 80, 3, 4),
@@ -429,7 +441,7 @@ func benchSim(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkSimSerial and BenchmarkSimSharded12 compare the serial engine to
+// BenchmarkSimSerial and BenchmarkSimSharded12 compare one worker to
 // twelve workers over the 13 lanes (coordinator + 12 channels) on a
 // bandwidth-bound trace. BenchmarkSimSharded2 is the two-core shape a cell
 // with SimWorkers = 2 replays at.
@@ -453,7 +465,9 @@ func withMAG(m compress.MAG) func(*Config) {
 // asserted bitwise-equal at 1 and 4 workers while generating them, so they
 // carry the reference's behaviour now that its code is gone. The event
 // count is deterministic and independent of the worker count: a change to
-// it means the event stream itself changed.
+// it means the event stream itself changed. The fixtures also stand in for
+// the engine that drained one event at a time in key order, which produced
+// them too until the window engine took over every worker count.
 var fixtures = []struct {
 	name   string
 	tr     *trace.Trace
@@ -479,8 +493,8 @@ func fixtureConfig(mod func(*Config), workers int) Config {
 	return cfg
 }
 
-// TestReplayMatchesFixtures replays every fixture trace, serial and
-// sharded, and requires its Result and event count bitwise.
+// TestReplayMatchesFixtures replays every fixture trace at one and at four
+// workers and requires its Result and event count bitwise.
 func TestReplayMatchesFixtures(t *testing.T) {
 	for _, fx := range fixtures {
 		for _, workers := range []int{1, 4} {
@@ -506,7 +520,7 @@ func TestReplayMatchesFixtures(t *testing.T) {
 
 // TestQueueFallbacksZero pins the routing of every scheduling site through
 // an ordered queue whose stream is monotone: replaying the fixture traces,
-// serial and at two workers, no queued event arrives below its queue's tail.
+// at one and at two workers, no queued event arrives below its queue's tail.
 // A fallback does not change any Result, only the replay's speed, so a
 // misrouted site fails here rather than going unnoticed as a slowdown.
 func TestQueueFallbacksZero(t *testing.T) {
@@ -529,9 +543,9 @@ func TestQueueFallbacksZero(t *testing.T) {
 // TestStreamedMatchesReplay pins the streamed form (Start, Kernel per
 // kernel, Finish) that overlaps the replay with the workload: fed kernel by
 // kernel, on a simulator dirtied by an earlier replay, it must return the
-// fixture's Result bitwise and execute its events per replay, serial and
-// sharded. RunRecording, which streams the kernels to a replay goroutine
-// when Workers > 1, must agree too.
+// fixture's Result bitwise and execute its events per replay, at one, two
+// and four workers. RunRecording, which streams the kernels to a replay
+// goroutine when Workers > 1, must agree too.
 func TestStreamedMatchesReplay(t *testing.T) {
 	for _, fx := range fixtures {
 		for _, workers := range []int{1, 2, 4} {
@@ -581,7 +595,8 @@ func TestStreamedMatchesReplay(t *testing.T) {
 
 // TestSimSteadyStateAllocFree pins the tentpole property: once a warm-up
 // replay has grown the event pools, queue arenas and DRAM arenas to the
-// trace's high-water marks, a serial replay performs zero heap allocations.
+// trace's high-water marks, a one-worker replay performs zero heap
+// allocations.
 func TestSimSteadyStateAllocFree(t *testing.T) {
 	tr := mixedTrace()
 	cfg := DefaultConfig()
