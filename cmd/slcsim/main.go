@@ -1,19 +1,24 @@
 // Command slcsim runs one benchmark under one compression configuration and
-// prints the full measurement: compression statistics, timing, traffic,
-// energy and application error.
+// prints the full measurement: compression statistics, the memory access
+// trace summary and the compressed-block size distribution behind the
+// paper's Figure 2, timing, traffic, energy and application error.
 //
 // Usage:
 //
 //	slcsim -bench NN -codec tslc-opt -mag 32 -threshold 16
 //	slcsim -bench DCT -codec e2mc -parallel 0
 //	slcsim -bench TP -codec lz4b
+//	slcsim -bench SRAD1 -codec e2mc -mag 64
 //	slcsim -list
 //	slcsim -list-codecs
 //
 // The codec is selected by its registry name (compress.Names); an unknown
 // name fails with the available set. That set includes the post-paper
 // families registered through the same mechanism (lz4b, zcd — see the
-// README's codec table); they need no special flags.
+// README's codec table); they need no special flags. Everything printed
+// comes from the RunResult of experiments.Runner.Run, the one cell path the
+// figures use, so the trace and distribution are those of the pipeline that
+// actually ran. A cell always includes its timing replay.
 package main
 
 import (
@@ -115,6 +120,17 @@ func printResult(out io.Writer, res, base experiments.RunResult) {
 	fmt.Fprintf(out, "  compression: raw CR %.2f, effective CR %.2f, %d blocks (%d lossy, %d raw)\n",
 		res.Comp.RawRatio(), res.Comp.EffectiveRatio(),
 		res.Comp.Blocks, res.Comp.LossyBlocks, res.Comp.Uncompressed)
+	tr := res.Trace
+	fmt.Fprintf(out, "  trace: %d kernels, %d warps, %d accesses (r %d / w %d), %d bursts, %.2f MB\n",
+		tr.Kernels, tr.Warps, tr.Accesses, tr.Reads, tr.Writes, tr.Bursts, float64(tr.Bytes)/1e6)
+	fmt.Fprintf(out, "  compressed-block distribution (bytes above a multiple of MAG):\n")
+	for x, cnt := range res.Comp.AboveMAG {
+		if cnt == 0 {
+			continue
+		}
+		pct := 100 * float64(cnt) / float64(res.Comp.Blocks)
+		fmt.Fprintf(out, "    %2dB %7d blocks (%5.1f%%)\n", x, cnt, pct)
+	}
 	fmt.Fprintf(out, "  error: %.4f%%\n", res.ErrorFrac*100)
 	fmt.Fprintf(out, "  time: %.1f µs (%.0f SM cycles)\n", res.Sim.TimeNs/1e3, res.Sim.SMCycles)
 	fmt.Fprintf(out, "  traffic: %d bursts (%d metadata), %.2f MB data (row hits %d / misses %d)\n",

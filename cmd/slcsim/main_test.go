@@ -2,8 +2,15 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/compress"
+	"repro/internal/experiments"
+	"repro/internal/workloads"
 )
 
 func runCLI(args ...string) (code int, stdout, stderr string) {
@@ -78,4 +85,74 @@ func TestNoBenchExitsNonZero(t *testing.T) {
 	if code, _, _ := runCLI(); code != 2 {
 		t.Fatalf("missing -bench exited %d, want 2", code)
 	}
+}
+
+// TestTraceAndDistributionMatchRunner: slcsim prints the cell's trace
+// summary and compressed-block distribution from the RunResult it holds.
+// The printed trace totals must equal a direct Runner.Run of the same cell,
+// and the distribution's block counts must sum to the printed block total.
+func TestTraceAndDistributionMatchRunner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a TP cell twice")
+	}
+	code, stdout, stderr := runCLI("-bench", "TP", "-codec", "e2mc")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	w, err := workloads.ByName("TP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := experiments.NamedConfig("e2mc", compress.MAG32, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.NewRunner().Run(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := regexp.MustCompile(`trace: (\d+) kernels, (\d+) warps, (\d+) accesses \(r (\d+) / w (\d+)\), (\d+) bursts, ([\d.]+) MB`).
+		FindStringSubmatch(stdout)
+	if m == nil {
+		t.Fatalf("no trace summary in output:\n%s", stdout)
+	}
+	tr := want.Trace
+	for i, v := range []int{tr.Kernels, tr.Warps, tr.Accesses, tr.Reads, tr.Writes, tr.Bursts} {
+		if got := atoi(t, m[i+1]); got != v {
+			t.Errorf("trace field %d printed %d, Runner.Run has %d", i, got, v)
+		}
+	}
+	if mb := fmt.Sprintf("%.2f", float64(tr.Bytes)/1e6); m[7] != mb {
+		t.Errorf("trace MB printed %s, Runner.Run has %s", m[7], mb)
+	}
+
+	total := regexp.MustCompile(`compression: .*, (\d+) blocks \(`).FindStringSubmatch(stdout)
+	if total == nil {
+		t.Fatalf("no block total in output:\n%s", stdout)
+	}
+	lines := regexp.MustCompile(`(?m)^\s+(\d+)B\s+(\d+) blocks \(`).FindAllStringSubmatch(stdout, -1)
+	if len(lines) == 0 {
+		t.Fatalf("no block distribution in output:\n%s", stdout)
+	}
+	sum := 0
+	for _, l := range lines {
+		x, n := atoi(t, l[1]), atoi(t, l[2])
+		if int64(n) != want.Comp.AboveMAG[x] {
+			t.Errorf("%dB printed %d blocks, Runner.Run has %d", x, n, want.Comp.AboveMAG[x])
+		}
+		sum += n
+	}
+	if blocks := atoi(t, total[1]); sum != blocks || int64(blocks) != want.Comp.Blocks {
+		t.Errorf("distribution sums to %d blocks, printed total %d, Runner.Run has %d", sum, blocks, want.Comp.Blocks)
+	}
+}
+
+func atoi(t *testing.T, s string) int {
+	t.Helper()
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

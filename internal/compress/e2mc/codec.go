@@ -126,32 +126,6 @@ func (t *Table) DecodeWays(payload []byte, wayStart [PDWs]int, skipStart, skipLe
 	return syms, nil
 }
 
-// DecodeWaysRef is the retained bit-by-bit reference decoder. No codec calls
-// it: it exists so TestDecodeWaysLUTMatchesReference and FuzzDecodeLUT can
-// require DecodeWays to produce bitwise-identical output (and to error
-// whenever it errors).
-func (t *Table) DecodeWaysRef(payload []byte, wayStart [PDWs]int, skipStart, skipLen int) ([compress.SymbolsPerBlock]uint16, error) {
-	var syms [compress.SymbolsPerBlock]uint16
-	for wy := 0; wy < PDWs; wy++ {
-		if wayStart[wy] < 0 || wayStart[wy] > len(payload) {
-			return syms, fmt.Errorf("e2mc: way %d starts at byte %d outside payload (%d bytes)", wy, wayStart[wy], len(payload))
-		}
-		r := compress.NewBitReader(payload[wayStart[wy]:])
-		lo, hi := waySpan(wy)
-		for i := lo; i < hi; i++ {
-			if i >= skipStart && i < skipStart+skipLen {
-				continue
-			}
-			s, err := t.decodeSymbol(r)
-			if err != nil {
-				return syms, fmt.Errorf("e2mc: way %d symbol %d: %w", wy, i, err)
-			}
-			syms[i] = s
-		}
-	}
-	return syms, nil
-}
-
 // payloadBytes returns the byte size of the encoded ways after the header.
 //
 //slclint:allocfree

@@ -50,7 +50,7 @@ func TestDecodeWaysLUTMatchesReference(t *testing.T) {
 		}
 		ways, _ := tab.EncodeWays(syms, skipStart, skipLen)
 		payload, starts := buildPayload(ways)
-		ref, refErr := tab.DecodeWaysRef(payload, starts, skipStart, skipLen)
+		ref, refErr := tab.decodeWaysRef(payload, starts, skipStart, skipLen)
 		lut, lutErr := tab.DecodeWays(payload, starts, skipStart, skipLen)
 		if (refErr == nil) != (lutErr == nil) {
 			t.Fatalf("trial %d: refErr=%v lutErr=%v", trial, refErr, lutErr)
@@ -75,7 +75,7 @@ func TestDecodeWaysRejectsBadWayStart(t *testing.T) {
 		if _, err := tab.DecodeWays(payload, starts, 0, 0); err == nil {
 			t.Errorf("starts %v: LUT decode accepted bad way start", starts)
 		}
-		if _, err := tab.DecodeWaysRef(payload, starts, 0, 0); err == nil {
+		if _, err := tab.decodeWaysRef(payload, starts, 0, 0); err == nil {
 			t.Errorf("starts %v: reference decode accepted bad way start", starts)
 		}
 	}
@@ -140,7 +140,7 @@ func FuzzDecodeLUT(f *testing.F) {
 			skipStart = int(ss) % (compress.SymbolsPerBlock - skipLen + 1)
 		}
 
-		ref, refErr := tab.DecodeWaysRef(payload, starts, skipStart, skipLen)
+		ref, refErr := tab.decodeWaysRef(payload, starts, skipStart, skipLen)
 		lut, lutErr := tab.DecodeWays(payload, starts, skipStart, skipLen)
 		if (refErr == nil) != (lutErr == nil) {
 			t.Fatalf("decoders disagree on validity: refErr=%v lutErr=%v", refErr, lutErr)

@@ -231,8 +231,8 @@ func TestSymbolBitsEscapeCost(t *testing.T) {
 	if got := tab.SymbolBits(0xBEEF); got < escapeRawBits+1 {
 		t.Errorf("escaped symbol costs %d bits, want ≥ %d", got, escapeRawBits+1)
 	}
-	if got, max := tab.SymbolBits(0xBEEF), tab.MaxSymbolBits(); got > max {
-		t.Errorf("escape cost %d exceeds MaxSymbolBits %d", got, max)
+	if got, max := tab.SymbolBits(0xBEEF), tab.maxLen+escapeRawBits; got > max {
+		t.Errorf("escape cost %d exceeds the maximum symbol cost %d", got, max)
 	}
 }
 
@@ -248,8 +248,8 @@ func TestTrainerBuildTableSizeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Entries() > 255 {
-		t.Errorf("table holds %d symbols, want ≤ 255", tab.Entries())
+	if len(tab.syms) > 255 {
+		t.Errorf("table holds %d symbols, want ≤ 255", len(tab.syms))
 	}
 	assertKraft(t, tab.codeLengths(), 12)
 }

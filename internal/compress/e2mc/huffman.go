@@ -168,23 +168,3 @@ func newCanonical(lens []uint8, maxLen int) (*canonical, error) {
 	}
 	return c, nil
 }
-
-// decode reads one canonical codeword from r and returns the item, walking
-// the stream one bit at a time through the interface-typed reader. This is
-// the retained reference decoder behind DecodeWaysRef; no codec calls it.
-// The LUT fast path (table.go) must stay bitwise-equivalent to it, which
-// TestDecodeWaysLUTMatchesReference and FuzzDecodeLUT cross-check.
-func (c *canonical) decode(r interface{ ReadBits(int) (uint64, error) }) (int32, error) {
-	code := uint32(0)
-	for l := 1; l <= c.maxLen; l++ {
-		b, err := r.ReadBits(1)
-		if err != nil {
-			return 0, err
-		}
-		code = code<<1 | uint32(b)
-		if c.count[l] > 0 && code-c.firstCode[l] < uint32(c.count[l]) {
-			return c.ordered[c.firstIdx[l]+int(code-c.firstCode[l])], nil
-		}
-	}
-	return 0, fmt.Errorf("e2mc: invalid codeword")
-}

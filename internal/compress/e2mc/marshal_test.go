@@ -91,7 +91,7 @@ func TestTableUnmarshalRejectsCorruption(t *testing.T) {
 	}
 	// Kraft violation: all code lengths 1.
 	bad := append([]byte(nil), data...)
-	for i := 6 + 2*tab.Entries(); i < len(bad); i++ {
+	for i := 6 + 2*len(tab.syms); i < len(bad); i++ {
 		bad[i] = 1
 	}
 	cases["kraft violation"] = bad

@@ -9,7 +9,7 @@
 //
 // The four ways are the only decode parallelism the package models: every
 // block decodes through one LUT path (DecodeWays). The bit-by-bit reference
-// decoder (DecodeWaysRef) is kept solely so tests can cross-check it.
+// decoder lives in the tests (ref_test.go) as the LUT path's oracle.
 package e2mc
 
 import (
@@ -189,13 +189,6 @@ func (t *Table) SymbolBits(sym uint16) int {
 	return int(t.escLen) + escapeRawBits
 }
 
-// MaxSymbolBits returns the largest possible per-symbol cost.
-func (t *Table) MaxSymbolBits() int { return t.maxLen + escapeRawBits }
-
-// Entries returns the number of frequent symbols in the table (excluding the
-// escape entry).
-func (t *Table) Entries() int { return len(t.syms) }
-
 // encodeSymbol appends one symbol's codeword (or escape + raw bits).
 func (t *Table) encodeSymbol(w *compress.BitWriter, sym uint16) {
 	if it := t.itemOf[sym]; it >= 0 {
@@ -204,23 +197,6 @@ func (t *Table) encodeSymbol(w *compress.BitWriter, sym uint16) {
 	}
 	w.WriteBits(uint64(t.canon.codes[t.escItem]), int(t.escLen))
 	w.WriteBits(uint64(sym), escapeRawBits)
-}
-
-// decodeSymbol reads one symbol through the bit-by-bit reference path that
-// DecodeWaysRef walks; no codec calls it.
-func (t *Table) decodeSymbol(r *compress.BitReader) (uint16, error) {
-	item, err := t.canon.decode(r)
-	if err != nil {
-		return 0, err
-	}
-	if item == t.escItem {
-		raw, err := r.ReadBits(escapeRawBits)
-		if err != nil {
-			return 0, err
-		}
-		return uint16(raw), nil
-	}
-	return t.syms[item], nil
 }
 
 // codeLengths exposes the per-item lengths for tests (Kraft checks).

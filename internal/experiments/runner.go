@@ -4,6 +4,13 @@
 // run with error measurement, timing simulation and energy accounting — and
 // memoises results so figures sharing runs (7, 8) do not recompute them.
 //
+// One function, pass, assembles every cell the module runs: a timed cell
+// (Run), a compression-only cell (CompressionOnly) and the MDC ablation's
+// re-simulation (RerunTiming). Golden outputs and both kinds of cell resolve
+// memory hit → store hit → compute through one helper, memo (store.go). The
+// cmd binaries print what the Runner returns and build no pipeline of their
+// own; slcsim's trace summary and block distribution are the RunResult's.
+//
 // The Runner is safe for concurrent use: memoisation is singleflight-style
 // (concurrent requests for the same golden run, entropy table or result
 // compute once while the rest wait), and RunAll fans an evaluation matrix
@@ -17,9 +24,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -214,27 +218,14 @@ func (r *Runner) progress(format string, args ...interface{}) {
 func (r *Runner) Golden(w workloads.Workload) ([]float64, error) {
 	name := w.Info().Name
 	return r.golden.Do(name, func() ([]float64, error) {
-		key, usable := r.storeKey(kindGolden, goldenMaterial(w))
-		if usable {
-			var out []float64
-			if hit, err := r.Store.Get(key, func(p []byte) error {
-				return gob.NewDecoder(bytes.NewReader(p)).Decode(&out)
-			}); err != nil {
-				return nil, fmt.Errorf("golden %s: store: %w", name, err)
-			} else if hit {
-				return out, nil
+		return memo(r, kindGolden, goldenMaterial(w), gobRecords, "golden "+name, func() ([]float64, error) {
+			r.progress("golden run: %s", name)
+			out, err := w.Run(workloads.NewCtx(device.New(), nil, nil))
+			if err != nil {
+				return nil, fmt.Errorf("golden %s: %w", name, err)
 			}
-		}
-		r.progress("golden run: %s", name)
-		ctx := workloads.NewCtx(device.New(), nil, nil)
-		out, err := w.Run(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("golden %s: %w", name, err)
-		}
-		if usable {
-			r.storePut(func() error { return r.Store.PutGob(key, kindGolden, out) }, kindGolden)
-		}
-		return out, nil
+			return out, nil
+		})
 	})
 }
 
@@ -245,10 +236,6 @@ func (r *Runner) Golden(w workloads.Workload) ([]float64, error) {
 func (r *Runner) Table(w workloads.Workload) (*e2mc.Table, error) {
 	return r.tables.Table(w)
 }
-
-// TableStats returns the builder cache's traffic counters (requests,
-// retrains, disk hits).
-func (r *Runner) TableStats() serving.TableStats { return r.tables.Stats() }
 
 // codecs builds the lossless and lossy codecs of a configuration from the
 // registry. Identity codecs (the raw baseline) yield a nil pair; lossy
@@ -272,68 +259,50 @@ func SimConfig(cfg Config) sim.Config {
 	return sc
 }
 
-// newPipeline builds the pipeline of one cell, applying the runner's sync
-// parallelism.
-func (r *Runner) newPipeline(dev *device.Device, cfg Config, lossless, lossy compress.Codec) (*pipeline.Pipeline, error) {
-	pl, err := pipeline.New(dev, cfg.MAG, lossless, lossy)
-	if err != nil {
-		return nil, err
-	}
-	pl.SetWorkers(r.SyncWorkers)
-	return pl, nil
+// simConfig is the simulator configuration a cell of this runner runs
+// under: SimConfig(cfg) with the runner's SimWorkers. It is also part of
+// the cell's store key material.
+func (r *Runner) simConfig(cfg Config) sim.Config {
+	sc := SimConfig(cfg)
+	sc.Workers = r.SimWorkers
+	return sc
 }
 
 // Run executes one evaluation cell (memoised; concurrent calls for the same
 // cell compute once).
 func (r *Runner) Run(w workloads.Workload, cfg Config) (RunResult, error) {
 	info := w.Info()
-	key := cellKey(info.Name, cfg)
-	return r.results.Do(key, func() (RunResult, error) {
-		// Disk hit short-circuits everything, including the golden run and
-		// table training the cell would otherwise request.
-		dkey, usable := r.storeKey(kindCell, r.cellMaterial(w, cfg))
-		if usable {
-			var cached RunResult
-			if hit, err := r.Store.Get(dkey, func(p []byte) error { return json.Unmarshal(p, &cached) }); err != nil {
-				return RunResult{}, fmt.Errorf("%s × %s: store: %w", info.Name, cfg.Name, err)
-			} else if hit {
-				return cached, nil
+	return r.results.Do(cellKey(info.Name, cfg), func() (RunResult, error) {
+		sc := r.simConfig(cfg)
+		// A store hit short-circuits everything, including the golden run
+		// and table training the cell would otherwise request.
+		return memo(r, kindCell, cellMaterial(w, cfg, sc), jsonRecords, info.Name+" × "+cfg.Name, func() (RunResult, error) {
+			golden, err := r.Golden(w)
+			if err != nil {
+				return RunResult{}, err
 			}
-		}
-		golden, err := r.Golden(w)
-		if err != nil {
-			return RunResult{}, err
-		}
-		lossless, lossy, err := r.codecs(w, cfg)
-		if err != nil {
-			return RunResult{}, err
-		}
-		r.progress("run: %s × %s", info.Name, cfg.Name)
-		tc, err := r.timedRun(w, cfg, lossless, lossy, nil)
-		if err != nil {
-			return RunResult{}, err
-		}
-		errFrac, err := metrics.Eval(info.Metric, golden, tc.out)
-		if err != nil {
-			return RunResult{}, err
-		}
-		energy, err := power.Compute(tc.sim, power.Default())
-		if err != nil {
-			return RunResult{}, err
-		}
-		res := RunResult{
-			Workload:  info.Name,
-			Config:    cfg,
-			ErrorFrac: errFrac,
-			Sim:       tc.sim,
-			Energy:    energy,
-			Comp:      tc.comp,
-			Trace:     tc.trace.Stats(cfg.MAG),
-		}
-		if usable {
-			r.storePut(func() error { return r.Store.PutJSON(dkey, kindCell, res) }, kindCell)
-		}
-		return res, nil
+			p, err := r.pass(w, cfg, &sc)
+			if err != nil {
+				return RunResult{}, err
+			}
+			errFrac, err := metrics.Eval(info.Metric, golden, p.out)
+			if err != nil {
+				return RunResult{}, err
+			}
+			energy, err := power.Compute(p.sim, power.Default())
+			if err != nil {
+				return RunResult{}, err
+			}
+			return RunResult{
+				Workload:  info.Name,
+				Config:    cfg,
+				ErrorFrac: errFrac,
+				Sim:       p.sim,
+				Energy:    energy,
+				Comp:      p.comp,
+				Trace:     p.trace,
+			}, nil
+		})
 	})
 }
 
@@ -341,35 +310,14 @@ func (r *Runner) Run(w workloads.Workload, cfg Config) (RunResult, error) {
 // simulation — enough for Figures 1 and 2.
 func (r *Runner) CompressionOnly(w workloads.Workload, cfg Config) (pipeline.Stats, error) {
 	info := w.Info()
-	key := cellKey(info.Name, cfg) + "|comp"
-	res, err := r.results.Do(key, func() (RunResult, error) {
-		dkey, usable := r.storeKey(kindComp, compMaterial(w, cfg))
-		if usable {
-			var cached RunResult
-			if hit, err := r.Store.Get(dkey, func(p []byte) error { return json.Unmarshal(p, &cached) }); err != nil {
-				return RunResult{}, fmt.Errorf("%s × %s: store: %w", info.Name, cfg.Name, err)
-			} else if hit {
-				return cached, nil
+	res, err := r.results.Do(cellKey(info.Name, cfg)+"|comp", func() (RunResult, error) {
+		return memo(r, kindComp, compMaterial(w, cfg), jsonRecords, info.Name+" × "+cfg.Name, func() (RunResult, error) {
+			p, err := r.pass(w, cfg, nil)
+			if err != nil {
+				return RunResult{}, err
 			}
-		}
-		lossless, lossy, err := r.codecs(w, cfg)
-		if err != nil {
-			return RunResult{}, err
-		}
-		r.progress("compress: %s × %s", info.Name, cfg.Name)
-		dev := device.New()
-		pl, err := r.newPipeline(dev, cfg, lossless, lossy)
-		if err != nil {
-			return RunResult{}, err
-		}
-		if _, err := w.Run(workloads.NewCtx(dev, nil, pl.Sync)); err != nil {
-			return RunResult{}, fmt.Errorf("%s × %s: %w", info.Name, cfg.Name, err)
-		}
-		out := RunResult{Workload: info.Name, Config: cfg, Comp: pl.Stats()}
-		if usable {
-			r.storePut(func() error { return r.Store.PutJSON(dkey, kindComp, out) }, kindComp)
-		}
-		return out, nil
+			return RunResult{Workload: info.Name, Config: cfg, Comp: p.comp}, nil
+		})
 	})
 	return res.Comp, err
 }
@@ -461,7 +409,9 @@ func (r *Runner) forEachCell(workers int, fn func(int) error, cells []Cell, errs
 }
 
 // RunnerCodecs exposes the runner's codec construction (including table
-// training) to external tools such as slctrace.
+// training). It exists only for the bench module's traced cell copy
+// (compose); the benchmark change that times Runner.Run's own stages deletes
+// both.
 func RunnerCodecs(r *Runner, w workloads.Workload, cfg Config) (lossless, lossy compress.Codec, err error) {
 	return r.codecs(w, cfg)
 }
@@ -470,52 +420,63 @@ func RunnerCodecs(r *Runner, w workloads.Workload, cfg Config) (lossless, lossy 
 // configuration: the MDC-size ablation, the one measurement of the
 // evaluation that is not a cell.
 func RerunTiming(r *Runner, w workloads.Workload, cfg Config, mod func(*sim.Config)) (sim.Result, error) {
-	lossless, lossy, err := r.codecs(w, cfg)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	tc, err := r.timedRun(w, cfg, lossless, lossy, mod)
-	return tc.sim, err
+	sc := r.simConfig(cfg)
+	mod(&sc)
+	p, err := r.pass(w, cfg, &sc)
+	return p.sim, err
 }
 
-// timedCell is what one timed run of a cell produces.
-type timedCell struct {
+// cellPass is what one pass of a cell's workload produces.
+type cellPass struct {
 	out   []float64 // the workload's outputs, for error evaluation
 	comp  pipeline.Stats
-	trace *trace.Trace
+	trace trace.Stats
 	sim   sim.Result
 }
 
-// timedRun runs w under cfg's pipeline with a trace recorder and replays the
-// trace on the timing simulator (SimConfig(cfg) with the runner's
-// SimWorkers, then mod). It is the one timed-run path of Run and
-// RerunTiming. With SimWorkers > 1 the replay overlaps the workload, kernel
-// by kernel (see sim.RunRecording); the Result is
-// bitwise-identical either way.
-func (r *Runner) timedRun(w workloads.Workload, cfg Config, lossless, lossy compress.Codec, mod func(*sim.Config)) (timedCell, error) {
-	sc := SimConfig(cfg)
-	sc.Workers = r.SimWorkers
-	if mod != nil {
-		mod(&sc)
+// pass is the one place a cell is assembled: it builds the cell's codecs,
+// device and pipeline (with the runner's SyncWorkers) and runs w under it.
+// With sc nil that is all: no trace recorder, no simulator. With sc the
+// run is recorded and replayed on the timing simulator (sim.RunRecording):
+// with sc.Workers > 1 the replay overlaps the workload kernel by kernel,
+// and the Result is bitwise-identical either way.
+func (r *Runner) pass(w workloads.Workload, cfg Config, sc *sim.Config) (cellPass, error) {
+	lossless, lossy, err := r.codecs(w, cfg)
+	if err != nil {
+		return cellPass{}, err
+	}
+	info := w.Info()
+	if sc == nil {
+		r.progress("compress: %s × %s", info.Name, cfg.Name)
+	} else {
+		r.progress("run: %s × %s", info.Name, cfg.Name)
 	}
 	dev := device.New()
-	pl, err := r.newPipeline(dev, cfg, lossless, lossy)
+	pl, err := pipeline.New(dev, cfg.MAG, lossless, lossy)
 	if err != nil {
-		return timedCell{}, err
+		return cellPass{}, err
 	}
-	rec := trace.NewRecorder(pl.BurstsFor)
-	tc := timedCell{trace: rec.Trace()}
-	tc.sim, err = sim.RunRecording(rec, sc, func() error {
+	pl.SetWorkers(r.SyncWorkers)
+	var p cellPass
+	run := func(rec *trace.Recorder) error {
 		out, err := w.Run(workloads.NewCtx(dev, rec, pl.Sync))
 		if err != nil {
-			return fmt.Errorf("%s × %s: %w", w.Info().Name, cfg.Name, err)
+			return fmt.Errorf("%s × %s: %w", info.Name, cfg.Name, err)
 		}
-		tc.out = out
+		p.out = out
 		return nil
-	})
-	if err != nil {
-		return timedCell{}, err
 	}
-	tc.comp = pl.Stats()
-	return tc, nil
+	if sc == nil {
+		err = run(nil)
+	} else {
+		rec := trace.NewRecorder(pl.BurstsFor)
+		if p.sim, err = sim.RunRecording(rec, *sc, func() error { return run(rec) }); err == nil {
+			p.trace = rec.Trace().Stats(cfg.MAG)
+		}
+	}
+	if err != nil {
+		return cellPass{}, err
+	}
+	p.comp = pl.Stats()
+	return p, nil
 }

@@ -1,6 +1,12 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/gob"
+	"encoding/json"
+	"fmt"
+
+	"repro/internal/gpu/sim"
 	"repro/internal/resultstore"
 	"repro/internal/workloads"
 )
@@ -35,9 +41,7 @@ func goldenMaterial(w workloads.Workload) resultstore.Material {
 // complete Config and the derived simulator configuration the cell runs
 // under (so MAG, threshold, codec name, latencies and worker counts each
 // change the key).
-func (r *Runner) cellMaterial(w workloads.Workload, cfg Config) resultstore.Material {
-	sc := SimConfig(cfg)
-	sc.Workers = r.SimWorkers
+func cellMaterial(w workloads.Workload, cfg Config, sc sim.Config) resultstore.Material {
 	return resultstore.Material{
 		"workload": workloads.Fingerprint(w),
 		"config":   cfg,
@@ -68,13 +72,43 @@ func (r *Runner) storeKey(kind string, m resultstore.Material) (resultstore.Key,
 	return key, true
 }
 
-// storePut writes a computed value back to the store, best-effort: a full
-// disk or unwritable directory must not fail the run that just computed a
-// perfectly good result.
-func (r *Runner) storePut(put func() error, kind string) {
-	if err := put(); err != nil {
-		r.progress("store: writing %s record failed: %v", kind, err)
+// recordCodec is how a record kind's value is encoded in the store.
+type recordCodec struct {
+	decode func(payload []byte, v any) error
+	put    func(s *resultstore.Store, k resultstore.Key, kind string, v any) error
+}
+
+var (
+	gobRecords = recordCodec{
+		decode: func(p []byte, v any) error { return gob.NewDecoder(bytes.NewReader(p)).Decode(v) },
+		put:    (*resultstore.Store).PutGob,
 	}
+	jsonRecords = recordCodec{decode: json.Unmarshal, put: (*resultstore.Store).PutJSON}
+)
+
+// memo resolves one memoised value through the attached store: a hit is
+// decoded and returned without calling compute; a miss computes the value
+// and writes it back. The write is best-effort: a full disk or unwritable
+// directory must not fail the run that just computed a perfectly good
+// result. label prefixes a store read error.
+func memo[T any](r *Runner, kind string, m resultstore.Material, c recordCodec, label string, compute func() (T, error)) (T, error) {
+	key, usable := r.storeKey(kind, m)
+	if usable {
+		var cached T
+		if hit, err := r.Store.Get(key, func(p []byte) error { return c.decode(p, &cached) }); err != nil {
+			var zero T
+			return zero, fmt.Errorf("%s: store: %w", label, err)
+		} else if hit {
+			return cached, nil
+		}
+	}
+	v, err := compute()
+	if err == nil && usable {
+		if err := c.put(r.Store, key, kind, v); err != nil {
+			r.progress("store: writing %s record failed: %v", kind, err)
+		}
+	}
+	return v, err
 }
 
 // StoreStats returns the attached store's traffic counters, or nil when the

@@ -166,7 +166,7 @@ func TestStoreKeySensitivity(t *testing.T) {
 	base := NewRunner()
 	key := func(r *Runner, w workloads.Workload, cfg Config) resultstore.Key {
 		t.Helper()
-		k, err := resultstore.NewKey("fp", kindCell, r.cellMaterial(w, cfg))
+		k, err := resultstore.NewKey("fp", kindCell, cellMaterial(w, cfg, r.simConfig(cfg)))
 		if err != nil {
 			t.Fatal(err)
 		}

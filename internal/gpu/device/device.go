@@ -164,12 +164,12 @@ func (r Region) BlockAddrs(fn func(addr uint64)) {
 	}
 }
 
-// Float32 reads a float32 at addr. It panics with an accessError if any of
+// float32At reads a float32 at addr. It panics with an accessError if any of
 // the four bytes lies outside allocated memory. addr-baseAddr wraps for an
 // address below baseAddr, so one unsigned compare against len(d.mem)-4
 // rejects both sides; the n < 4 test covers the empty device, where that
 // subtraction would wrap too.
-func (d *Device) Float32(addr uint64) float32 {
+func (d *Device) float32At(addr uint64) float32 {
 	i, n := addr-baseAddr, uint64(len(d.mem))
 	if n < 4 || i > n-4 {
 		panic(accessError{addr, 4})
@@ -177,8 +177,8 @@ func (d *Device) Float32(addr uint64) float32 {
 	return math.Float32frombits(binary.LittleEndian.Uint32(d.mem[i:]))
 }
 
-// SetFloat32 writes a float32 at addr, with Float32's bounds check.
-func (d *Device) SetFloat32(addr uint64, v float32) {
+// setFloat32 writes a float32 at addr, with float32At's bounds check.
+func (d *Device) setFloat32(addr uint64, v float32) {
 	i, n := addr-baseAddr, uint64(len(d.mem))
 	if n < 4 || i > n-4 {
 		panic(accessError{addr, 4})

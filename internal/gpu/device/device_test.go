@@ -68,8 +68,8 @@ func TestFloatAccessors(t *testing.T) {
 	if got := v.At(7); got != 3.25 {
 		t.Errorf("At(7) = %v", got)
 	}
-	if got := d.Float32(v.Addr(7)); got != 3.25 {
-		t.Errorf("Float32(addr) = %v", got)
+	if got := d.float32At(v.Addr(7)); got != 3.25 {
+		t.Errorf("float32At(addr) = %v", got)
 	}
 }
 
@@ -205,16 +205,16 @@ func TestWordAccessBounds(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			check(t, c.want, func() { c.d.Float32(c.addr) })
-			check(t, c.want, func() { c.d.SetFloat32(c.addr, 1) })
+			check(t, c.want, func() { c.d.float32At(c.addr) })
+			check(t, c.want, func() { c.d.setFloat32(c.addr, 1) })
 		})
 	}
 
 	// The first and last words in range, aligned or not, are accessible.
 	for _, addr := range []uint64{r.Addr, r.Addr + 1, r.End() - 5, r.End() - 4} {
-		d.SetFloat32(addr, 2.5)
-		if got := d.Float32(addr); got != 2.5 {
-			t.Errorf("Float32(%#x) = %v after SetFloat32 2.5", addr, got)
+		d.setFloat32(addr, 2.5)
+		if got := d.float32At(addr); got != 2.5 {
+			t.Errorf("float32At(%#x) = %v after setFloat32 2.5", addr, got)
 		}
 	}
 	// The error-returning accessors report the same error type.

@@ -37,7 +37,7 @@ type barrierLane struct {
 }
 
 func (b *barrierLane) HandleEvent(now float64, ev Event) {
-	l, coord, la, r := b.e.Lane(b.id), b.e.Lane(0), b.e.Lookahead(), ev.A
+	l, coord, la, r := b.e.Lane(b.id), b.e.Lane(0), b.e.lookahead, ev.A
 	*b.log = append(*b.log, fmt.Sprintf("op %d round %d from %d @%g", ev.Op, r, ev.B, now))
 	switch ev.Op {
 	case opStretch:
@@ -46,7 +46,7 @@ func (b *barrierLane) HandleEvent(now float64, ev Event) {
 			return
 		}
 		b.backs = 0
-		for i := 0; i < b.e.Lanes(); i++ {
+		for i := 0; i < len(b.e.lanes); i++ {
 			coord.SendEvent(b.e.Lane(i), now+la, Event{Kind: KindTest, Op: opBusy, A: r})
 		}
 	case opBusy:
@@ -55,7 +55,7 @@ func (b *barrierLane) HandleEvent(now float64, ev Event) {
 	case opFollow:
 		l.SendEvent(coord, now+la, Event{Kind: KindTest, Op: opBack, A: r, B: uint32(b.id)})
 	case opBack:
-		if b.backs++; b.backs == b.e.Lanes() {
+		if b.backs++; b.backs == len(b.e.lanes) {
 			coord.AtEvent(now+la, Event{Kind: KindTest, Op: opStretch, A: r + 1})
 		}
 	}

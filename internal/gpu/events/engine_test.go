@@ -29,7 +29,7 @@ type pingPongLane struct {
 }
 
 func (p *pingPongLane) HandleEvent(now float64, ev Event) {
-	l, coord, la, r := p.e.Lane(p.id), p.e.Lane(0), p.e.Lookahead(), ev.A
+	l, coord, la, r := p.e.Lane(p.id), p.e.Lane(0), p.e.lookahead, ev.A
 	switch ev.Op {
 	case opRound:
 		if r >= p.rounds {
@@ -37,7 +37,7 @@ func (p *pingPongLane) HandleEvent(now float64, ev Event) {
 		}
 		*p.log = append(*p.log, fmt.Sprintf("round %d @%g", r, now))
 		p.replies = 0
-		for i := 1; i < p.e.Lanes(); i++ {
+		for i := 1; i < len(p.e.lanes); i++ {
 			coord.SendEvent(p.e.Lane(i), now+la, Event{Kind: KindTest, Op: opReq, A: r})
 		}
 	case opReq:
@@ -50,7 +50,7 @@ func (p *pingPongLane) HandleEvent(now float64, ev Event) {
 	case opReply:
 		*p.log = append(*p.log, fmt.Sprintf("reply %d/%d @%g", r, ev.B, now))
 		p.replies++
-		if p.replies == p.e.Lanes()-1 {
+		if p.replies == len(p.e.lanes)-1 {
 			coord.AtEvent(now, Event{Kind: KindTest, Op: opRound, A: r + 1})
 		}
 	}
@@ -59,7 +59,7 @@ func (p *pingPongLane) HandleEvent(now float64, ev Event) {
 // pingPong wires the pingPong workload onto every lane of e and returns
 // the lanes' handlers; a round starts with an opRound event on lane 0.
 func pingPong(e *Engine, rounds int, logs [][]string) []*pingPongLane {
-	lanes := make([]*pingPongLane, e.Lanes())
+	lanes := make([]*pingPongLane, len(e.lanes))
 	for i := range lanes {
 		lanes[i] = &pingPongLane{e: e, id: i, rounds: uint32(rounds), log: &logs[i]}
 		e.Lane(i).SetHandler(KindTest, lanes[i])
@@ -183,7 +183,7 @@ func TestEngineReusableAcrossRuns(t *testing.T) {
 	sequence := []int{1, 4, 1, 2, 2, 3, 1}
 	replay := func(drain func(e *Engine, run int)) [][]string {
 		e := NewEngine(4, 10)
-		logs := make([][]string, e.Lanes())
+		logs := make([][]string, len(e.lanes))
 		lanes := pingPong(e, 0, logs)
 		last := -1.0
 		for run := range sequence {
@@ -195,8 +195,8 @@ func TestEngineReusableAcrossRuns(t *testing.T) {
 			if e.Now() <= last {
 				t.Errorf("run %d: time did not advance across runs", run)
 			}
-			if e.Pending() != 0 {
-				t.Errorf("run %d: %d events left pending", run, e.Pending())
+			if e.pending() != 0 {
+				t.Errorf("run %d: %d events left pending", run, e.pending())
 			}
 			last = e.Now()
 		}
@@ -239,7 +239,7 @@ func TestEngineParallelPanicReachesCaller(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		before := runtime.NumGoroutine()
 		e := NewEngine(4, 10)
-		for i := 1; i < e.Lanes(); i++ {
+		for i := 1; i < len(e.lanes); i++ {
 			e.Lane(i).SetHandler(KindTest, handlerFunc(func(now float64, ev Event) {
 				if ev.A == 2 {
 					panic("boom on lane 2")
@@ -248,7 +248,7 @@ func TestEngineParallelPanicReachesCaller(t *testing.T) {
 		}
 		coord := e.Lane(0)
 		coord.SetHandler(KindTest, handlerFunc(func(now float64, ev Event) {
-			for i := 1; i < e.Lanes(); i++ {
+			for i := 1; i < len(e.lanes); i++ {
 				coord.SendEvent(e.Lane(i), now+10, Event{Kind: KindTest, A: uint32(i)})
 			}
 		}))
@@ -299,7 +299,7 @@ func (h *stressHandler) HandleEvent(now float64, ev Event) {
 	for fan := ev.A % 3; fan > 0 && h.budget > 0; fan-- {
 		h.budget--
 		next := Event{Kind: KindTest, Op: ev.Op + 1, A: ev.A*1664525 + 1013904223}
-		target := h.eng.Lane(int(next.A>>8) % h.eng.Lanes())
+		target := h.eng.Lane(int(next.A>>8) % len(h.eng.lanes))
 		if target == h.lane {
 			h.lane.AtEvent(now+float64(next.A%5), next)
 		} else {

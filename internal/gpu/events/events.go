@@ -577,14 +577,8 @@ func NewEngine(n int, lookahead float64) *Engine {
 	return e
 }
 
-// Lanes returns the number of lanes.
-func (e *Engine) Lanes() int { return len(e.lanes) }
-
 // Lane returns lane i.
 func (e *Engine) Lane(i int) *Lane { return e.lanes[i] }
-
-// Lookahead returns the minimum cross-lane message latency.
-func (e *Engine) Lookahead() float64 { return e.lookahead }
 
 // Now returns the engine's global time: the maximum lane-local time.
 func (e *Engine) Now() float64 {
@@ -595,20 +589,6 @@ func (e *Engine) Now() float64 {
 		}
 	}
 	return t
-}
-
-// Pending returns the total number of scheduled events across lanes.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, l := range e.lanes {
-		n += len(l.h)
-		for i := range l.queues {
-			if q := &l.queues[i]; q.n > 0 {
-				n += q.n - 1 // the head is on the heap
-			}
-		}
-	}
-	return n
 }
 
 // Executed returns the total number of events dispatched across lanes since

@@ -61,8 +61,8 @@ func TestNestedScheduling(t *testing.T) {
 	if n != 100 || e.Now() != 99 {
 		t.Errorf("n=%d now=%v", n, e.Now())
 	}
-	if e.Pending() != 0 {
-		t.Errorf("pending = %d", e.Pending())
+	if e.pending() != 0 {
+		t.Errorf("pending = %d", e.pending())
 	}
 }
 
@@ -110,4 +110,18 @@ func TestLaneResetReuses(t *testing.T) {
 			t.Fatalf("replay order diverged at %d: %d vs %d", i, rec.ops[i], first[i])
 		}
 	}
+}
+
+// pending returns the total number of scheduled events across lanes.
+func (e *Engine) pending() int {
+	n := 0
+	for _, l := range e.lanes {
+		n += len(l.h)
+		for i := range l.queues {
+			if q := &l.queues[i]; q.n > 0 {
+				n += q.n - 1 // the head is on the heap
+			}
+		}
+	}
+	return n
 }

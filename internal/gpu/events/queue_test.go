@@ -34,7 +34,7 @@ func (h *orderHandler) HandleEvent(now float64, ev Event) {
 		h.budget--
 		x = x*6364136223846793005 + 1442695040888963407
 		next := Event{Kind: KindTest, Addr: x}
-		to := h.s.eng.Lane(int(x>>33) % h.s.eng.Lanes())
+		to := h.s.eng.Lane(int(x>>33) % len(h.s.eng.lanes))
 		qi := int(x>>40) % (queuesPerLane + 1) // queuesPerLane: loose
 		offset := float64(qi)
 		if qi == 0 {
@@ -42,7 +42,7 @@ func (h *orderHandler) HandleEvent(now float64, ev Event) {
 		}
 		t := now + offset
 		if to != h.lane {
-			t += h.s.eng.Lookahead()
+			t += h.s.eng.lookahead
 		}
 		switch {
 		case h.s.loose || qi == queuesPerLane:
@@ -134,8 +134,8 @@ func TestQueuesMatchLooseOrder(t *testing.T) {
 			if n := s.eng.Fallbacks(); n == 0 {
 				t.Errorf("%s: no fallbacks, so the out-of-order path went untested", name)
 			}
-			if s.eng.Pending() != 0 {
-				t.Errorf("%s: %d events left pending", name, s.eng.Pending())
+			if s.eng.pending() != 0 {
+				t.Errorf("%s: %d events left pending", name, s.eng.pending())
 			}
 		}
 	}
@@ -143,7 +143,7 @@ func TestQueuesMatchLooseOrder(t *testing.T) {
 
 // TestQueueFallbackKeepsOrder pins the fallback on one lane: a push below
 // its queue's tail goes onto the heap loose, is counted, and is still
-// dispatched in key order; Pending counts queued and loose events alike.
+// dispatched in key order; pending counts queued and loose events alike.
 func TestQueueFallbackKeepsOrder(t *testing.T) {
 	e, l := oneLane()
 	var rec recording
@@ -155,8 +155,8 @@ func TestQueueFallbackKeepsOrder(t *testing.T) {
 	if n := e.Fallbacks(); n != 2 {
 		t.Errorf("Fallbacks = %d, want 2 (the pushes at 2 and 0)", n)
 	}
-	if n := e.Pending(); n != 6 {
-		t.Errorf("Pending = %d, want 6", n)
+	if n := e.pending(); n != 6 {
+		t.Errorf("pending = %d, want 6", n)
 	}
 	e.Run(1)
 	if want := []uint8{5, 0, 3, 1, 2, 4}; !reflect.DeepEqual(rec.ops, want) {

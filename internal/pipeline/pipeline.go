@@ -254,6 +254,3 @@ func (p *Pipeline) BurstsFor(addr uint64) (int, bool) {
 
 // Stats returns the accumulated statistics.
 func (p *Pipeline) Stats() Stats { return p.stats }
-
-// MAG returns the pipeline's granularity.
-func (p *Pipeline) MAG() compress.MAG { return p.mag }

@@ -21,11 +21,8 @@ type Flags struct {
 	cpuFile *os.File
 }
 
-// Register adds -cpuprofile and -memprofile to the default flag set.
-func Register() *Flags { return RegisterOn(flag.CommandLine) }
-
-// RegisterOn adds -cpuprofile and -memprofile to fs, for binaries built on
-// their own flag.FlagSet (the testable `run(args, ...)` pattern).
+// RegisterOn adds -cpuprofile and -memprofile to fs, a binary's own
+// flag.FlagSet (the testable `run(args, ...)` pattern).
 func RegisterOn(fs *flag.FlagSet) *Flags {
 	return &Flags{
 		cpu: fs.String("cpuprofile", "",

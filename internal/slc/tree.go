@@ -43,14 +43,6 @@ func levelSpan(l int) (off, n int) {
 	return 2*compress.SymbolsPerBlock - 2*n, n
 }
 
-// NewTree builds the adder tree on the heap; Reset on a stack value is the
-// allocation-free equivalent the compression hot path uses.
-func NewTree(costs *[compress.SymbolsPerBlock]int, opt bool) *Tree {
-	t := new(Tree)
-	t.Reset(costs, opt)
-	return t
-}
-
 // Reset rebuilds the tree in place from per-symbol costs. With opt, the
 // TSLC-OPT extra nodes are added: the paper adds 8 nodes at the 16-node
 // level and 4 at the 8-node level to break the 2× jumps between sums
@@ -93,10 +85,6 @@ func (t *Tree) Reset(costs *[compress.SymbolsPerBlock]int, opt bool) {
 	}
 }
 
-// PayloadBits returns the root sum: the total payload size the hardware uses
-// as comp size (before header and way padding).
-func (t *Tree) PayloadBits() int { return t.sums[treeSums-1] }
-
 // Select returns the sub-block to approximate: among all nodes with
 // Sum ≥ need and Count ≤ maxSyms, the one covering the fewest symbols
 // (lowest level), breaking ties on the lowest start index — the behaviour of
@@ -133,12 +121,3 @@ func (t *Tree) Select(need, maxSyms int) (Node, bool) {
 	}
 	return best, found
 }
-
-// NodeSums exposes the sums of one level for tests and the hardware model.
-func (t *Tree) NodeSums(level int) []int {
-	off, n := levelSpan(level)
-	return t.sums[off : off+n]
-}
-
-// ExtraNodes exposes the TSLC-OPT nodes for tests and the hardware model.
-func (t *Tree) ExtraNodes() []Node { return t.extra[:t.nextra] }

@@ -16,10 +16,23 @@ func uniformCosts(c int) *[compress.SymbolsPerBlock]int {
 	return &costs
 }
 
+// newTree builds the adder tree on the heap.
+func newTree(costs *[compress.SymbolsPerBlock]int, opt bool) *Tree {
+	t := new(Tree)
+	t.Reset(costs, opt)
+	return t
+}
+
+// nodeSums returns the sums of one tree level.
+func (t *Tree) nodeSums(level int) []int {
+	off, n := levelSpan(level)
+	return t.sums[off : off+n]
+}
+
 func TestTreeRootSum(t *testing.T) {
 	costs := uniformCosts(8)
-	tree := NewTree(costs, false)
-	if got := tree.PayloadBits(); got != 64*8 {
+	tree := newTree(costs, false)
+	if got := tree.sums[treeSums-1]; got != 64*8 {
 		t.Errorf("root sum = %d, want 512", got)
 	}
 }
@@ -29,14 +42,14 @@ func TestTreeLevelSums(t *testing.T) {
 	for i := range costs {
 		costs[i] = i
 	}
-	tree := NewTree(&costs, false)
-	if got := tree.NodeSums(1)[0]; got != 0+1 {
+	tree := newTree(&costs, false)
+	if got := tree.nodeSums(1)[0]; got != 0+1 {
 		t.Errorf("level1[0] = %d, want 1", got)
 	}
-	if got := tree.NodeSums(2)[3]; got != 12+13+14+15 {
+	if got := tree.nodeSums(2)[3]; got != 12+13+14+15 {
 		t.Errorf("level2[3] = %d, want 54", got)
 	}
-	if got := tree.NodeSums(6)[0]; got != 64*63/2 {
+	if got := tree.nodeSums(6)[0]; got != 64*63/2 {
 		t.Errorf("root = %d, want 2016", got)
 	}
 }
@@ -44,7 +57,7 @@ func TestTreeLevelSums(t *testing.T) {
 func TestSelectFewestSymbols(t *testing.T) {
 	// Uniform cost 8: need 20 cannot be covered by 1 or 2 symbols (8, 16)
 	// but a 4-symbol node (32) covers it.
-	tree := NewTree(uniformCosts(8), false)
+	tree := newTree(uniformCosts(8), false)
 	node, ok := tree.Select(20, MaxApproxSymbols)
 	if !ok {
 		t.Fatal("no node selected")
@@ -58,7 +71,7 @@ func TestSelectPriorityEncoderFirstHit(t *testing.T) {
 	// Level 0: only symbol 37 has a large cost; the first level-0 hit is 37.
 	costs := uniformCosts(2)
 	costs[37] = 30
-	tree := NewTree(costs, false)
+	tree := newTree(costs, false)
 	node, ok := tree.Select(25, MaxApproxSymbols)
 	if !ok || node.Count != 1 || node.Start != 37 {
 		t.Errorf("node = %+v ok=%v, want single symbol 37", node, ok)
@@ -67,12 +80,12 @@ func TestSelectPriorityEncoderFirstHit(t *testing.T) {
 
 func TestSelectRespectsMaxSymbols(t *testing.T) {
 	// Uniform cost 1: need 40 requires ≥ 40 symbols, beyond the 16-symbol cap.
-	tree := NewTree(uniformCosts(1), false)
+	tree := newTree(uniformCosts(1), false)
 	if _, ok := tree.Select(40, MaxApproxSymbols); ok {
 		t.Error("selected a node beyond the symbol cap")
 	}
 	// With cost 4, 16 symbols sum to 64 ≥ 40.
-	tree = NewTree(uniformCosts(4), false)
+	tree = newTree(uniformCosts(4), false)
 	node, ok := tree.Select(40, MaxApproxSymbols)
 	if !ok || node.Count != 16 {
 		t.Errorf("node = %+v ok=%v, want a 16-symbol node", node, ok)
@@ -83,12 +96,12 @@ func TestOptExtraNodesReduceOvershoot(t *testing.T) {
 	// Uniform cost 8 and need 33: plain TSLC jumps from 4-symbol sums (32,
 	// miss) to 8-symbol sums (64, overshoot). The OPT 6-symbol node (48)
 	// covers it with less approximation.
-	plain := NewTree(uniformCosts(8), false)
+	plain := newTree(uniformCosts(8), false)
 	n1, ok := plain.Select(33, MaxApproxSymbols)
 	if !ok || n1.Count != 8 {
 		t.Fatalf("plain tree: node = %+v ok=%v, want 8 symbols", n1, ok)
 	}
-	opt := NewTree(uniformCosts(8), true)
+	opt := newTree(uniformCosts(8), true)
 	n2, ok := opt.Select(33, MaxApproxSymbols)
 	if !ok || n2.Count != 6 {
 		t.Fatalf("opt tree: node = %+v ok=%v, want 6 symbols", n2, ok)
@@ -100,9 +113,9 @@ func TestOptExtraNodesReduceOvershoot(t *testing.T) {
 
 func TestOptExtraNodeCounts(t *testing.T) {
 	// Paper §III-F: 8 extra nodes at the 16-node level, 4 at the 8-node level.
-	tree := NewTree(uniformCosts(1), true)
+	tree := newTree(uniformCosts(1), true)
 	var six, twelve int
-	for _, n := range tree.ExtraNodes() {
+	for _, n := range tree.extra[:tree.nextra] {
 		switch n.Count {
 		case 6:
 			six++
@@ -123,8 +136,8 @@ func TestExtraNodeSumsMatchSpans(t *testing.T) {
 	for i := range costs {
 		costs[i] = rng.Intn(30) + 1
 	}
-	tree := NewTree(&costs, true)
-	for _, n := range tree.ExtraNodes() {
+	tree := newTree(&costs, true)
+	for _, n := range tree.extra[:tree.nextra] {
 		sum := 0
 		for i := n.Start; i < n.Start+n.Count; i++ {
 			sum += costs[i]
@@ -144,7 +157,7 @@ func TestSelectInvariants(t *testing.T) {
 		}
 		need := int(needRaw)%256 + 1
 		for _, opt := range []bool{false, true} {
-			tree := NewTree(&costs, opt)
+			tree := newTree(&costs, opt)
 			node, ok := tree.Select(need, MaxApproxSymbols)
 			if !ok {
 				continue

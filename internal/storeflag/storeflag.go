@@ -18,11 +18,8 @@ type Flags struct {
 	clear *bool
 }
 
-// Register adds -store and -store-clear to the default flag set.
-func Register() *Flags { return RegisterOn(flag.CommandLine) }
-
-// RegisterOn adds -store and -store-clear to fs, for binaries built on
-// their own flag.FlagSet (the testable `run(args, ...)` pattern).
+// RegisterOn adds -store and -store-clear to fs, a binary's own
+// flag.FlagSet (the testable `run(args, ...)` pattern).
 func RegisterOn(fs *flag.FlagSet) *Flags {
 	return &Flags{
 		dir: fs.String("store", "",
