@@ -70,9 +70,26 @@ func TestInvalidMAGFailsFast(t *testing.T) {
 	}
 }
 
+// TestStrayArgumentsExitNonZero: stray arguments are rejected before any
+// mode runs — a listing, or a cell (e.g. "-bench TP e2mc" with -codec
+// forgotten), which would otherwise start seconds of work.
 func TestStrayArgumentsExitNonZero(t *testing.T) {
-	if code, _, _ := runCLI("-list", "stray"); code != 2 {
-		t.Fatalf("stray arguments exited %d, want 2", code)
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"list", []string{"-list", "stray"}},
+		{"bench", []string{"-bench", "NN", "stray"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, _ := runCLI(tc.args...)
+			if code != 2 {
+				t.Fatalf("stray arguments exited %d, want 2", code)
+			}
+			if stdout != "" {
+				t.Fatalf("ran before rejecting the arguments: %s", stdout)
+			}
+		})
 	}
 }
 
