@@ -1,5 +1,5 @@
 // Command slcd is the streaming compression daemon: the codec registry,
-// trained-table builder cache and compression pipeline served over HTTP.
+// trained-table cache and compression pipeline served over HTTP.
 //
 //	slcd -addr :8080 -store /var/cache/slc
 //

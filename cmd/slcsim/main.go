@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bench     = fs.String("bench", "", "benchmark name (see -list)")
 		codec     = fs.String("codec", "tslc-opt", "codec registry name (see -list-codecs)")
 		magBytes  = fs.Int("mag", 32, "memory access granularity in bytes (16, 32, 64)")
-		threshold = fs.Int("threshold", 16, "lossy threshold in bytes (lossy codecs only)")
+		threshold = fs.Int("threshold", 16, "lossy threshold in bytes, 0 to 128 (lossy codecs only; 0 = 16)")
 		bound     = fs.Float64("bound", 0, "absolute error bound (error-bounded codecs only; 0 = codec default)")
 		parallel  = fs.Int("parallel", 1, "worker goroutines for block compression (0 = all cores)")
 		simw      = fs.Int("simworkers", 1, "worker goroutines for the sharded timing simulator (0 = all cores, 1 = one worker with no helper goroutines); > 1 also replays each kernel while the workload computes the next; results are identical either way")

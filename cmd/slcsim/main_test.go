@@ -54,19 +54,27 @@ func TestUnknownCodecExitsWithAvailableSet(t *testing.T) {
 }
 
 // TestInvalidMAGFailsFast pins the validate-before-work ordering: an invalid
-// MAG must be rejected by configuration validation, not discovered after
-// entropy-table training. -v turns progress on, so any work done first
-// would show in stderr.
+// MAG or an out-of-range threshold must be rejected by configuration
+// validation, not discovered after the golden run and entropy-table
+// training. -v turns progress on, so any work done first would show in
+// stderr.
 func TestInvalidMAGFailsFast(t *testing.T) {
-	code, _, stderr := runCLI("-v", "-bench", "NN", "-codec", "tslc-opt", "-mag", "7")
-	if code != 1 {
-		t.Fatalf("invalid MAG exited %d, want 1", code)
-	}
-	if !strings.Contains(stderr, "invalid MAG") {
-		t.Fatalf("stderr does not report the invalid MAG: %s", stderr)
-	}
-	if strings.Contains(stderr, "training") || strings.Contains(stderr, "table") {
-		t.Fatalf("did work before rejecting the MAG: %s", stderr)
+	for _, tc := range []struct {
+		flag, value, want string
+	}{
+		{"-mag", "7", "invalid MAG"},
+		{"-threshold", "200", "threshold 1600 bits out of range"},
+	} {
+		code, _, stderr := runCLI("-v", "-bench", "NN", "-codec", "tslc-opt", tc.flag, tc.value)
+		if code != 1 {
+			t.Fatalf("%s %s exited %d, want 1", tc.flag, tc.value, code)
+		}
+		if !strings.Contains(stderr, tc.want) {
+			t.Fatalf("%s %s: stderr does not report %q: %s", tc.flag, tc.value, tc.want, stderr)
+		}
+		if strings.Contains(stderr, "golden") || strings.Contains(stderr, "training") || strings.Contains(stderr, "table") {
+			t.Fatalf("%s %s: did work before rejecting the configuration: %s", tc.flag, tc.value, stderr)
+		}
 	}
 }
 

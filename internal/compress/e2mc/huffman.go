@@ -99,25 +99,19 @@ func lengthLimitedCodeLengths(weights []uint64, maxLen int) ([]uint8, error) {
 // canonical holds a canonical Huffman code: deterministic codeword assignment
 // from code lengths alone, enabling compact decode tables.
 type canonical struct {
-	maxLen    int
-	codes     []uint32 // per item
-	lens      []uint8  // per item
-	count     []int    // count[l] = number of codes of length l
-	firstCode []uint32 // canonical first code value per length
-	firstIdx  []int    // index into ordered[] of the first code of length l
-	ordered   []int32  // items in canonical order
+	maxLen int
+	codes  []uint32 // per item
+	lens   []uint8  // per item
+	count  []int    // count[l] = number of codes of length l
 }
 
 // newCanonical assigns canonical codewords given per-item lengths.
 func newCanonical(lens []uint8, maxLen int) (*canonical, error) {
 	c := &canonical{
-		maxLen:    maxLen,
-		lens:      lens,
-		codes:     make([]uint32, len(lens)),
-		count:     make([]int, maxLen+1),
-		firstCode: make([]uint32, maxLen+2),
-		firstIdx:  make([]int, maxLen+2),
-		ordered:   make([]int32, 0, len(lens)),
+		maxLen: maxLen,
+		lens:   lens,
+		codes:  make([]uint32, len(lens)),
+		count:  make([]int, maxLen+1),
 	}
 	for _, l := range lens {
 		c.count[l]++
@@ -153,18 +147,7 @@ func newCanonical(lens []uint8, maxLen int) (*canonical, error) {
 			prevLen = it.len
 		}
 		c.codes[it.item] = code
-		c.ordered = append(c.ordered, it.item)
 		code++
-	}
-	// first code / first index per length.
-	code = 0
-	idx := 0
-	for l := 1; l <= maxLen; l++ {
-		code <<= 1
-		c.firstCode[l] = code
-		c.firstIdx[l] = idx
-		code += uint32(c.count[l])
-		idx += c.count[l]
 	}
 	return c, nil
 }

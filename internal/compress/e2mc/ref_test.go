@@ -15,6 +15,7 @@ import (
 // produce bitwise-identical output (and to error whenever it errors).
 func (t *Table) decodeWaysRef(payload []byte, wayStart [PDWs]int, skipStart, skipLen int) ([compress.SymbolsPerBlock]uint16, error) {
 	var syms [compress.SymbolsPerBlock]uint16
+	ref := newRefDecoder(t.canon)
 	for wy := 0; wy < PDWs; wy++ {
 		if wayStart[wy] < 0 || wayStart[wy] > len(payload) {
 			return syms, fmt.Errorf("e2mc: way %d starts at byte %d outside payload (%d bytes)", wy, wayStart[wy], len(payload))
@@ -25,7 +26,7 @@ func (t *Table) decodeWaysRef(payload []byte, wayStart [PDWs]int, skipStart, ski
 			if i >= skipStart && i < skipStart+skipLen {
 				continue
 			}
-			s, err := t.decodeSymbol(r)
+			s, err := t.decodeSymbol(ref, r)
 			if err != nil {
 				return syms, fmt.Errorf("e2mc: way %d symbol %d: %w", wy, i, err)
 			}
@@ -37,8 +38,8 @@ func (t *Table) decodeWaysRef(payload []byte, wayStart [PDWs]int, skipStart, ski
 
 // decodeSymbol reads one symbol through the bit-by-bit reference path that
 // decodeWaysRef walks.
-func (t *Table) decodeSymbol(r *compress.BitReader) (uint16, error) {
-	item, err := t.canon.decode(r)
+func (t *Table) decodeSymbol(ref *refDecoder, r *compress.BitReader) (uint16, error) {
+	item, err := ref.decode(r)
 	if err != nil {
 		return 0, err
 	}
@@ -52,11 +53,45 @@ func (t *Table) decodeSymbol(r *compress.BitReader) (uint16, error) {
 	return t.syms[item], nil
 }
 
+// refDecoder is the textbook canonical-Huffman decode state, derived from
+// a canonical code's lengths alone: the items in canonical order (by length,
+// then item index), and per length the first codeword and its index into
+// that order. No non-test code needs it; the LUT (table.go) is built from
+// the codewords instead.
+type refDecoder struct {
+	c         *canonical
+	firstCode []uint32
+	firstIdx  []int
+	ordered   []int32
+}
+
+func newRefDecoder(c *canonical) *refDecoder {
+	d := &refDecoder{
+		c:         c,
+		firstCode: make([]uint32, c.maxLen+1),
+		firstIdx:  make([]int, c.maxLen+1),
+	}
+	code := uint32(0)
+	for l := 1; l <= c.maxLen; l++ {
+		code <<= 1
+		d.firstCode[l] = code
+		d.firstIdx[l] = len(d.ordered)
+		for item, il := range c.lens {
+			if int(il) == l {
+				d.ordered = append(d.ordered, int32(item))
+			}
+		}
+		code += uint32(c.count[l])
+	}
+	return d
+}
+
 // decode reads one canonical codeword from r and returns the item, walking
 // the stream one bit at a time through the interface-typed reader. It is the
 // reference behind decodeWaysRef: the LUT fast path (table.go) must stay
 // bitwise-equivalent to it.
-func (c *canonical) decode(r interface{ ReadBits(int) (uint64, error) }) (int32, error) {
+func (d *refDecoder) decode(r interface{ ReadBits(int) (uint64, error) }) (int32, error) {
+	c := d.c
 	code := uint32(0)
 	for l := 1; l <= c.maxLen; l++ {
 		b, err := r.ReadBits(1)
@@ -64,8 +99,8 @@ func (c *canonical) decode(r interface{ ReadBits(int) (uint64, error) }) (int32,
 			return 0, err
 		}
 		code = code<<1 | uint32(b)
-		if c.count[l] > 0 && code-c.firstCode[l] < uint32(c.count[l]) {
-			return c.ordered[c.firstIdx[l]+int(code-c.firstCode[l])], nil
+		if c.count[l] > 0 && code-d.firstCode[l] < uint32(c.count[l]) {
+			return d.ordered[d.firstIdx[l]+int(code-d.firstCode[l])], nil
 		}
 	}
 	return 0, fmt.Errorf("e2mc: invalid codeword")

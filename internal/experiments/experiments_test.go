@@ -369,10 +369,23 @@ func TestNamedConfig(t *testing.T) {
 	if cfg.Name != "SZ-LINEAR@32B/eb1e-05" || cfg.ErrorBound != 1e-5 {
 		t.Errorf("NamedConfig bounded explicit = %+v", cfg)
 	}
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if _, err := NamedConfig("sz-lorenzo", compress.MAG32, 0, bad); err == nil {
-			t.Errorf("NamedConfig accepted bound %v", bad)
+	for _, codec := range []string{"sz-lorenzo", "bdi"} {
+		for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+			if _, err := NamedConfig(codec, compress.MAG32, 0, bad); err == nil {
+				t.Errorf("NamedConfig(%s) accepted bound %v", codec, bad)
+			}
 		}
+	}
+	// The threshold range holds for every codec, lossy or not.
+	for _, codec := range []string{"tslc-opt", "bdi"} {
+		for _, bad := range []int{-1, compress.BlockBits + 1} {
+			if _, err := NamedConfig(codec, compress.MAG32, bad, 0); err == nil {
+				t.Errorf("NamedConfig(%s) accepted threshold %d bits", codec, bad)
+			}
+		}
+	}
+	if cfg, err := NamedConfig(" TSLC-OPT ", compress.MAG32, compress.BlockBits, 0); err != nil || cfg.Codec != "tslc-opt" || cfg.ThresholdBits != compress.BlockBits {
+		t.Errorf("NamedConfig(\" TSLC-OPT \", full-block threshold) = %+v, %v", cfg, err)
 	}
 	if BoundedConfig("sz-lorenzo", compress.MAG32, 0) != cfgMust(t, "sz-lorenzo", 0) {
 		t.Error("BoundedConfig(0) differs from NamedConfig default")

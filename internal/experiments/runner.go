@@ -6,10 +6,16 @@
 //
 // One function, pass, assembles every cell the module runs: a timed cell
 // (Run), a compression-only cell (CompressionOnly) and the MDC ablation's
-// re-simulation (RerunTiming). Golden outputs and both kinds of cell resolve
-// memory hit → store hit → compute through one helper, memo (store.go). The
-// cmd binaries print what the Runner returns and build no pipeline of their
-// own; slcsim's trace summary and block distribution are the RunResult's.
+// re-simulation (RerunTiming). Golden outputs, trained entropy tables and
+// both kinds of cell resolve memory hit → store hit → compute through one
+// helper, memo (store.go). The cmd binaries print what the Runner returns
+// and build no pipeline of their own; slcsim's trace summary and block
+// distribution are the RunResult's.
+//
+// NamedConfig is the one validation of a codec configuration, and
+// TableCache (tablecache.go) the one table-training path: the slcd serving
+// tier (internal/serving) builds on both, and this package imports nothing
+// of it.
 //
 // The Runner is safe for concurrent use: memoisation is singleflight-style
 // (concurrent requests for the same golden run, entropy table or result
@@ -43,7 +49,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/resultstore"
-	"repro/internal/serving"
 	"repro/internal/slc"
 	"repro/internal/workloads"
 )
@@ -65,22 +70,31 @@ type Config struct {
 	ErrorBound float64
 }
 
-// NamedConfig builds a configuration from a codec registry name, validating
-// the name against the registered set. thresholdBits applies to lossy
-// codecs only and errorBound to error-bounded codecs only; a non-positive
+// NamedConfig builds a configuration from a codec registry name (case and
+// surrounding space ignored), validating every parameter for every codec:
+// the one check of a codec configuration, shared by the cmd binaries and
+// the slcd request path. thresholdBits must lie in [0, compress.BlockBits]
+// and errorBound must be non-negative and finite. The threshold applies to
+// lossy codecs only and the bound to error-bounded codecs only; a zero
 // threshold selects the paper's default and a zero bound the codec's
 // default, so the display name always matches the parameters the codec
-// actually runs at.
+// actually runs at. Validation happens here, before any work: a tool that
+// found a bad parameter only at codec construction would already have run
+// the golden pass and trained an entropy table for nothing.
 func NamedConfig(codec string, mag compress.MAG, thresholdBits int, errorBound float64) (Config, error) {
-	codec = strings.ToLower(codec)
+	codec = strings.ToLower(strings.TrimSpace(codec))
 	info, ok := compress.Lookup(codec)
 	if !ok {
 		return Config{}, compress.UnknownCodecError(codec)
 	}
 	if !mag.Valid() {
-		// Validate here, not deep inside pipeline construction: by then a
-		// tool may already have trained an entropy table for nothing.
 		return Config{}, fmt.Errorf("experiments: invalid MAG %d (want a power of two dividing %d)", mag, compress.BlockSize)
+	}
+	if thresholdBits < 0 || thresholdBits > compress.BlockBits {
+		return Config{}, fmt.Errorf("experiments: threshold %d bits out of range [0, %d]", thresholdBits, compress.BlockBits)
+	}
+	if math.IsNaN(errorBound) || math.IsInf(errorBound, 0) || errorBound < 0 {
+		return Config{}, fmt.Errorf("experiments: error bound must be non-negative and finite, got %v", errorBound)
 	}
 	cfg := Config{Codec: codec, MAG: mag}
 	switch {
@@ -88,12 +102,9 @@ func NamedConfig(codec string, mag compress.MAG, thresholdBits int, errorBound f
 		if errorBound == 0 {
 			errorBound = DefaultErrorBound
 		}
-		if math.IsNaN(errorBound) || math.IsInf(errorBound, 0) || errorBound < 0 {
-			return Config{}, fmt.Errorf("experiments: error bound must be positive and finite, got %v", errorBound)
-		}
 		cfg.ErrorBound = errorBound
 	case info.Lossy:
-		if thresholdBits <= 0 {
+		if thresholdBits == 0 {
 			thresholdBits = DefaultThresholdBits
 		}
 		cfg.ThresholdBits = thresholdBits
@@ -165,7 +176,7 @@ func cellKey(workload string, cfg Config) string { return workload + "|" + cfg.N
 // usable; call NewRunner.
 type Runner struct {
 	golden  flight.Group[[]float64]
-	tables  serving.TableCache
+	tables  TableCache
 	results flight.Group[RunResult]
 
 	// Store, when non-nil, persists memoised computations to disk,
@@ -197,10 +208,8 @@ type Runner struct {
 // NewRunner returns an empty runner.
 func NewRunner() *Runner {
 	r := &Runner{}
-	// The runner is a thin client of the serving tier's builder cache: table
-	// training and codec construction live in internal/serving, shared with
-	// the slcd daemon. Store is read through a closure so assigning
-	// Runner.Store after construction (the storeflag pattern) is seen.
+	// Store is read through a closure so assigning Runner.Store after
+	// construction (the storeflag pattern) is seen.
 	r.tables.Store = func() *resultstore.Store { return r.Store }
 	r.tables.Progress = r.progress
 	return r
@@ -218,7 +227,7 @@ func (r *Runner) progress(format string, args ...interface{}) {
 func (r *Runner) Golden(w workloads.Workload) ([]float64, error) {
 	name := w.Info().Name
 	return r.golden.Do(name, func() ([]float64, error) {
-		return memo(r, kindGolden, goldenMaterial(w), gobRecords, "golden "+name, func() ([]float64, error) {
+		return memo(r.Store, r.progress, kindGolden, goldenMaterial(w), gobRecords, "golden "+name, func() ([]float64, error) {
 			r.progress("golden run: %s", name)
 			out, err := w.Run(workloads.NewCtx(device.New(), nil, nil))
 			if err != nil {
@@ -231,17 +240,10 @@ func (r *Runner) Golden(w workloads.Workload) ([]float64, error) {
 
 // Table returns the workload's E2MC table, trained by sampling the device
 // image at every region synchronisation — the online-sampling substitute.
-// The work happens in the shared serving.TableCache: memory hit → store hit
-// → train, in a singleflight slot per workload.
+// The work happens in the runner's TableCache: memory hit → store hit →
+// train, in a singleflight slot per workload.
 func (r *Runner) Table(w workloads.Workload) (*e2mc.Table, error) {
 	return r.tables.Table(w)
-}
-
-// codecs builds the lossless and lossy codecs of a configuration from the
-// registry. Identity codecs (the raw baseline) yield a nil pair; lossy
-// codecs additionally build their lossless base for exact regions.
-func (r *Runner) codecs(w workloads.Workload, cfg Config) (lossless, lossy compress.Codec, err error) {
-	return r.tables.Codecs(w, cfg.Codec, cfg.MAG, cfg.ThresholdBits, cfg.ErrorBound)
 }
 
 // SimConfig derives the simulator configuration for a compression
@@ -276,7 +278,7 @@ func (r *Runner) Run(w workloads.Workload, cfg Config) (RunResult, error) {
 		sc := r.simConfig(cfg)
 		// A store hit short-circuits everything, including the golden run
 		// and table training the cell would otherwise request.
-		return memo(r, kindCell, cellMaterial(w, cfg, sc), jsonRecords, info.Name+" × "+cfg.Name, func() (RunResult, error) {
+		return memo(r.Store, r.progress, kindCell, cellMaterial(w, cfg, sc), jsonRecords, info.Name+" × "+cfg.Name, func() (RunResult, error) {
 			golden, err := r.Golden(w)
 			if err != nil {
 				return RunResult{}, err
@@ -311,7 +313,7 @@ func (r *Runner) Run(w workloads.Workload, cfg Config) (RunResult, error) {
 func (r *Runner) CompressionOnly(w workloads.Workload, cfg Config) (pipeline.Stats, error) {
 	info := w.Info()
 	res, err := r.results.Do(cellKey(info.Name, cfg)+"|comp", func() (RunResult, error) {
-		return memo(r, kindComp, compMaterial(w, cfg), jsonRecords, info.Name+" × "+cfg.Name, func() (RunResult, error) {
+		return memo(r.Store, r.progress, kindComp, compMaterial(w, cfg), jsonRecords, info.Name+" × "+cfg.Name, func() (RunResult, error) {
 			p, err := r.pass(w, cfg, nil)
 			if err != nil {
 				return RunResult{}, err
@@ -413,7 +415,7 @@ func (r *Runner) forEachCell(workers int, fn func(int) error, cells []Cell, errs
 // (compose); the benchmark change that times Runner.Run's own stages deletes
 // both.
 func RunnerCodecs(r *Runner, w workloads.Workload, cfg Config) (lossless, lossy compress.Codec, err error) {
-	return r.codecs(w, cfg)
+	return r.tables.Codecs(w, cfg)
 }
 
 // RerunTiming re-simulates a configuration with a modified simulator
@@ -441,7 +443,7 @@ type cellPass struct {
 // with sc.Workers > 1 the replay overlaps the workload kernel by kernel,
 // and the Result is bitwise-identical either way.
 func (r *Runner) pass(w workloads.Workload, cfg Config, sc *sim.Config) (cellPass, error) {
-	lossless, lossy, err := r.codecs(w, cfg)
+	lossless, lossy, err := r.tables.Codecs(w, cfg)
 	if err != nil {
 		return cellPass{}, err
 	}

@@ -6,13 +6,15 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/compress/e2mc"
 	"repro/internal/gpu/sim"
 	"repro/internal/resultstore"
 	"repro/internal/workloads"
 )
 
-// Disk persistence of memoised Runner computations. When Runner.Store is
-// set, every singleflight slot resolves memory hit → disk hit → compute:
+// Disk persistence of memoised Runner computations and trained tables. When
+// a store is attached (Runner.Store, TableCache.Store), every singleflight
+// slot resolves memory hit → disk hit → compute:
 // the first request for a key consults the store before computing, and a
 // computed value is written back so later processes (and CI runs sharing a
 // cached store directory) skip the work entirely. Keys are content
@@ -23,9 +25,8 @@ import (
 // fingerprint (resultstore.NewKey), so any change recomputes instead of
 // serving stale records.
 
-// Store record kinds. The trained-table kind and material moved to
-// internal/serving with the builder cache (byte-identical key material, so
-// existing stores keep hitting).
+// Store record kinds of the Runner's computations; kindTable (tablecache.go)
+// is the fourth.
 const (
 	kindGolden = "golden"
 	kindCell   = "cell"
@@ -57,21 +58,6 @@ func compMaterial(w workloads.Workload, cfg Config) resultstore.Material {
 	}
 }
 
-// storeKey derives a key, reporting false when no store is attached (or the
-// material fails to encode, which is a programming error surfaced via
-// progress rather than a run failure).
-func (r *Runner) storeKey(kind string, m resultstore.Material) (resultstore.Key, bool) {
-	if r.Store == nil {
-		return resultstore.Key{}, false
-	}
-	key, err := r.Store.Key(kind, m)
-	if err != nil {
-		r.progress("store: keying %s failed: %v", kind, err)
-		return resultstore.Key{}, false
-	}
-	return key, true
-}
-
 // recordCodec is how a record kind's value is encoded in the store.
 type recordCodec struct {
 	decode func(payload []byte, v any) error
@@ -84,18 +70,45 @@ var (
 		put:    (*resultstore.Store).PutGob,
 	}
 	jsonRecords = recordCodec{decode: json.Unmarshal, put: (*resultstore.Store).PutJSON}
+	// tableRecords hold a *e2mc.Table in its own binary wire format.
+	tableRecords = recordCodec{
+		decode: func(p []byte, v any) error {
+			tab := new(e2mc.Table)
+			if err := tab.UnmarshalBinary(p); err != nil {
+				return err
+			}
+			*v.(**e2mc.Table) = tab
+			return nil
+		},
+		put: func(s *resultstore.Store, k resultstore.Key, kind string, v any) error {
+			data, err := v.(*e2mc.Table).MarshalBinary()
+			if err != nil {
+				return fmt.Errorf("encoding %s record: %w", kind, err)
+			}
+			return s.PutBytes(k, kind, "bin", data)
+		},
+	}
 )
 
-// memo resolves one memoised value through the attached store: a hit is
-// decoded and returned without calling compute; a miss computes the value
+// memo resolves one memoised value through st, when one is attached: a hit
+// is decoded and returned without calling compute; a miss computes the value
 // and writes it back. The write is best-effort: a full disk or unwritable
 // directory must not fail the run that just computed a perfectly good
-// result. label prefixes a store read error.
-func memo[T any](r *Runner, kind string, m resultstore.Material, c recordCodec, label string, compute func() (T, error)) (T, error) {
-	key, usable := r.storeKey(kind, m)
-	if usable {
+// result. A material that fails to key (a programming error) and a failed
+// write are reported through progress, not as errors. label prefixes a
+// store read error.
+func memo[T any](st *resultstore.Store, progress func(string, ...interface{}), kind string, m resultstore.Material, c recordCodec, label string, compute func() (T, error)) (T, error) {
+	var key resultstore.Key
+	if st != nil {
+		var err error
+		if key, err = st.Key(kind, m); err != nil {
+			progress("store: keying %s failed: %v", kind, err)
+			st = nil
+		}
+	}
+	if st != nil {
 		var cached T
-		if hit, err := r.Store.Get(key, func(p []byte) error { return c.decode(p, &cached) }); err != nil {
+		if hit, err := st.Get(key, func(p []byte) error { return c.decode(p, &cached) }); err != nil {
 			var zero T
 			return zero, fmt.Errorf("%s: store: %w", label, err)
 		} else if hit {
@@ -103,9 +116,9 @@ func memo[T any](r *Runner, kind string, m resultstore.Material, c recordCodec, 
 		}
 	}
 	v, err := compute()
-	if err == nil && usable {
-		if err := c.put(r.Store, key, kind, v); err != nil {
-			r.progress("store: writing %s record failed: %v", kind, err)
+	if err == nil && st != nil {
+		if err := c.put(st, key, kind, v); err != nil {
+			progress("store: writing %s record failed: %v", kind, err)
 		}
 	}
 	return v, err

@@ -1,8 +1,9 @@
 // Package flight provides keyed singleflight memoisation: concurrent
 // requests for the same key compute the value exactly once while the rest
 // wait, and the computed value (or error) is retained for every later
-// request. It is the concurrency backbone shared by the experiment Runner's
-// golden/table/result memos and the serving tier's builder caches.
+// request. It is the concurrency backbone of the experiment Runner's
+// golden/result memos and of the trained-table cache the Runner and the
+// serving tier share.
 package flight
 
 import (
@@ -52,11 +53,4 @@ func (g *Group[T]) Do(key string, fn func() (T, error)) (T, error) {
 	}()
 	c.val, c.err = fn()
 	return c.val, c.err
-}
-
-// Len returns the number of keys ever requested (completed or in flight).
-func (g *Group[T]) Len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.m)
 }

@@ -63,8 +63,8 @@ func TestDoDistinctKeys(t *testing.T) {
 	if a != "A" || b != "B" {
 		t.Fatalf("got %q, %q", a, b)
 	}
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", g.Len())
+	if len(g.m) != 2 {
+		t.Fatalf("%d slots, want 2", len(g.m))
 	}
 }
 

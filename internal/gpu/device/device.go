@@ -107,8 +107,7 @@ func (d *Device) SafeToApprox(addr uint64) bool {
 func (d *Device) Footprint() int { return int(d.next - baseAddr) }
 
 // accessError reports an access to [addr, addr+n) that leaves allocated
-// memory. It is a small value type, not a fmt.Errorf call, so that the
-// word accessors' failure path stays cheap enough for them to inline.
+// memory.
 type accessError struct {
 	addr uint64
 	n    int
@@ -120,8 +119,9 @@ func (e accessError) Error() string {
 
 // viewError reports an F32 index outside its view, the n words from addr.
 // The index may well name allocated memory, a neighbouring region's, so it
-// gets its own wording rather than accessError's. Like accessError it is a
-// small value type, so that At and Set still inline.
+// gets its own wording rather than accessError's. It is a small value
+// type, not a fmt.Errorf call, so that At and Set stay cheap enough to
+// inline.
 type viewError struct {
 	addr uint64
 	i, n int
@@ -162,28 +162,6 @@ func (r Region) BlockAddrs(fn func(addr uint64)) {
 	for a := r.Addr; a < r.End(); a += compress.BlockSize {
 		fn(a)
 	}
-}
-
-// float32At reads a float32 at addr. It panics with an accessError if any of
-// the four bytes lies outside allocated memory. addr-baseAddr wraps for an
-// address below baseAddr, so one unsigned compare against len(d.mem)-4
-// rejects both sides; the n < 4 test covers the empty device, where that
-// subtraction would wrap too.
-func (d *Device) float32At(addr uint64) float32 {
-	i, n := addr-baseAddr, uint64(len(d.mem))
-	if n < 4 || i > n-4 {
-		panic(accessError{addr, 4})
-	}
-	return math.Float32frombits(binary.LittleEndian.Uint32(d.mem[i:]))
-}
-
-// setFloat32 writes a float32 at addr, with float32At's bounds check.
-func (d *Device) setFloat32(addr uint64, v float32) {
-	i, n := addr-baseAddr, uint64(len(d.mem))
-	if n < 4 || i > n-4 {
-		panic(accessError{addr, 4})
-	}
-	binary.LittleEndian.PutUint32(d.mem[i:], math.Float32bits(v))
 }
 
 // CopyFloats32 copies host values into the region (cudaMemcpyHostToDevice).

@@ -68,9 +68,6 @@ func TestFloatAccessors(t *testing.T) {
 	if got := v.At(7); got != 3.25 {
 		t.Errorf("At(7) = %v", got)
 	}
-	if got := d.float32At(v.Addr(7)); got != 3.25 {
-		t.Errorf("float32At(addr) = %v", got)
-	}
 }
 
 // TestF32ViewBounds pins that a view's accessors check the view, not the
@@ -162,9 +159,10 @@ func TestOutOfRangeAccess(t *testing.T) {
 	}
 }
 
-// TestWordAccessBounds pins the word accessors' bounds check: every access
-// that leaves allocated memory, on either side or by straddling the end,
-// panics with an accessError carrying the device's access message.
+// TestWordAccessBounds pins the device's bounds check (index) at word size:
+// every 4-byte access that leaves allocated memory, on either side or by
+// straddling the end, fails with an accessError carrying the device's
+// access message, and the first and last words in range are accessible.
 func TestWordAccessBounds(t *testing.T) {
 	d := New()
 	r, err := d.Malloc("m", 256, false) // [0x80, 0x180)
@@ -187,40 +185,22 @@ func TestWordAccessBounds(t *testing.T) {
 		{"straddles end by 3", d, 0x17f, "device: access [0x17f, 0x183) outside allocated memory"},
 		{"empty device", New(), 0x80, "device: access [0x80, 0x84) outside allocated memory"},
 	}
-	check := func(t *testing.T, want string, access func()) {
-		t.Helper()
-		defer func() {
-			t.Helper()
-			p := recover()
-			err, ok := p.(error)
-			var ae accessError
-			if !ok || !errors.As(err, &ae) {
-				t.Fatalf("panic value %#v, want an accessError", p)
-			}
-			if err.Error() != want {
-				t.Errorf("message %q, want %q", err.Error(), want)
-			}
-		}()
-		access()
-	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			check(t, c.want, func() { c.d.float32At(c.addr) })
-			check(t, c.want, func() { c.d.setFloat32(c.addr, 1) })
+			_, err := c.d.Bytes(c.addr, 4)
+			var ae accessError
+			if !errors.As(err, &ae) {
+				t.Fatalf("got %v, want an accessError", err)
+			}
+			if err.Error() != c.want {
+				t.Errorf("message %q, want %q", err.Error(), c.want)
+			}
 		})
 	}
-
-	// The first and last words in range, aligned or not, are accessible.
 	for _, addr := range []uint64{r.Addr, r.Addr + 1, r.End() - 5, r.End() - 4} {
-		d.setFloat32(addr, 2.5)
-		if got := d.float32At(addr); got != 2.5 {
-			t.Errorf("float32At(%#x) = %v after setFloat32 2.5", addr, got)
+		if _, err := d.Bytes(addr, 4); err != nil {
+			t.Errorf("word at %#x: %v", addr, err)
 		}
-	}
-	// The error-returning accessors report the same error type.
-	var ae accessError
-	if _, err := d.Bytes(r.End(), 1); !errors.As(err, &ae) || err.Error() != "device: access [0x180, 0x181) outside allocated memory" {
-		t.Errorf("Bytes past the end: %v", err)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/compress"
+	"repro/internal/gpu/cache"
 	"repro/internal/gpu/dram"
 	"repro/internal/gpu/events"
 )
@@ -34,7 +35,7 @@ type Config struct {
 	// MDCLines is the number of metadata lines each controller caches; one
 	// 32-byte line holds the 2-bit burst codes of 128 blocks (16 KB of
 	// data). A miss costs one extra burst fetch. MDCWays sets the
-	// associativity.
+	// associativity; MDCLines must be a positive multiple of it.
 	MDCLines int
 	MDCWays  int
 	// DecompressCycles is added to every compressed read response and
@@ -62,7 +63,19 @@ func (c Config) Validate() error {
 	if c.Controllers <= 0 || c.ChannelsPerMC <= 0 || c.InterleaveBytes <= 0 {
 		return fmt.Errorf("mc: non-positive parameter in %+v", c)
 	}
+	if err := c.mdc().Validate(); err != nil {
+		return fmt.Errorf("mc: MDC of %d lines, %d ways: %w", c.MDCLines, c.MDCWays, err)
+	}
 	return c.Dram.Validate()
+}
+
+// mdc is the geometry of a controller's metadata cache as a
+// set-associative LRU cache over data addresses: one line of it spans the
+// data one metadata line covers, so its sets, tags and LRU order are those
+// of the metadata lines.
+func (c Config) mdc() cache.Config {
+	span := blocksPerMetaLine * compress.BlockSize
+	return cache.Config{SizeBytes: c.MDCLines * span, LineBytes: span, Ways: c.MDCWays}
 }
 
 // Channels returns the configured channel count.
@@ -82,64 +95,6 @@ type Stats struct {
 // metaLine covers the 2-bit entries of 128 consecutive blocks.
 const blocksPerMetaLine = 128
 
-// mdcCache is a small set-associative LRU metadata cache per controller.
-type mdcCache struct {
-	ways  int
-	sets  [][]mdcEntry
-	clock uint64
-}
-
-type mdcEntry struct {
-	tag   uint64
-	valid bool
-	used  uint64
-}
-
-func newMDC(lines, ways int) *mdcCache {
-	if ways < 1 {
-		ways = 1
-	}
-	nsets := lines / ways
-	if nsets < 1 {
-		nsets = 1
-	}
-	sets := make([][]mdcEntry, nsets)
-	for i := range sets {
-		sets[i] = make([]mdcEntry, ways)
-	}
-	return &mdcCache{ways: ways, sets: sets}
-}
-
-// reset invalidates every line, keeping the set arrays.
-func (m *mdcCache) reset() {
-	m.clock = 0
-	for _, set := range m.sets {
-		for i := range set {
-			set[i] = mdcEntry{}
-		}
-	}
-}
-
-// lookup returns true on hit and installs the line on miss.
-func (m *mdcCache) lookup(metaLine uint64) bool {
-	m.clock++
-	set := m.sets[metaLine%uint64(len(m.sets))]
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == metaLine {
-			set[i].used = m.clock
-			return true
-		}
-		if !set[i].valid {
-			victim = i
-		} else if set[victim].valid && set[i].used < set[victim].used {
-			victim = i
-		}
-	}
-	set[victim] = mdcEntry{tag: metaLine, valid: true, used: m.clock}
-	return false
-}
-
 // System is the full memory-controller subsystem on the sharded engine.
 // ReadEvent and WriteEvent must be called from events on the coordinator
 // lane (or before the engine runs); read completions are delivered back onto
@@ -150,7 +105,7 @@ type System struct {
 	lanes    []*events.Lane // one per channel; entries may alias
 	queues   []chanQueues   // one per channel
 	channels []*dram.Channel
-	mdcs     []*mdcCache
+	mdcs     []*cache.Cache
 	cycleNs  float64
 	pathNs   float64
 	// front holds the counters touched on the coordinator lane; laneStats
@@ -202,7 +157,7 @@ func New(cfg Config, coord *events.Lane, chanLanes []*events.Lane, pathNs float6
 		lanes:     chanLanes,
 		queues:    make([]chanQueues, cfg.Channels()),
 		channels:  make([]*dram.Channel, cfg.Channels()),
-		mdcs:      make([]*mdcCache, cfg.Controllers),
+		mdcs:      make([]*cache.Cache, cfg.Controllers),
 		cycleNs:   cfg.Dram.CycleNs(),
 		pathNs:    pathNs,
 		laneStats: make([]Stats, cfg.Channels()),
@@ -231,7 +186,11 @@ func New(cfg Config, coord *events.Lane, chanLanes []*events.Lane, pathNs float6
 		}
 	}
 	for i := range s.mdcs {
-		s.mdcs[i] = newMDC(cfg.MDCLines, cfg.MDCWays)
+		m, err := cache.New(cfg.mdc())
+		if err != nil {
+			return nil, err
+		}
+		s.mdcs[i] = m
 	}
 	return s, nil
 }
@@ -260,7 +219,7 @@ func (s *System) localAddr(addr uint64) uint64 {
 // channels of a controller can share the cache without synchronisation.
 // It reports whether the line must be fetched from DRAM first.
 func (s *System) probeMDC(addr uint64, ctrl int) (fetch bool) {
-	if s.mdcs[ctrl].lookup(metaLine(addr)) {
+	if s.mdcs[ctrl].Access(addr, false).Hit {
 		s.front.MDCHits++
 		return false
 	}
@@ -314,7 +273,7 @@ func (s *System) Reset() {
 		s.laneStats[i] = Stats{}
 	}
 	for _, m := range s.mdcs {
-		m.reset()
+		m.Reset()
 	}
 	for _, ch := range s.channels {
 		ch.Reset()

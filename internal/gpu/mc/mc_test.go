@@ -208,6 +208,15 @@ func TestValidate(t *testing.T) {
 	if _, _, err := newSingle(bad); err == nil {
 		t.Error("invalid config accepted")
 	}
+	// The MDC is a cache.Cache, so its geometry must be one cache.New
+	// accepts: whole sets of positive size.
+	for _, geom := range [][2]int{{0, 8}, {4096, 0}, {12, 8}} {
+		bad := DefaultConfig()
+		bad.MDCLines, bad.MDCWays = geom[0], geom[1]
+		if err := bad.Validate(); err == nil {
+			t.Errorf("MDC of %d lines, %d ways accepted", geom[0], geom[1])
+		}
+	}
 	eng := events.NewEngine(1, 0)
 	if _, err := New(DefaultConfig(), nil, nil, 0); err == nil {
 		t.Error("nil coordinator accepted")

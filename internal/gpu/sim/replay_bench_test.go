@@ -10,7 +10,6 @@ import (
 	"repro/internal/gpu/sim"
 	"repro/internal/gpu/trace"
 	"repro/internal/pipeline"
-	"repro/internal/serving"
 	"repro/internal/slc"
 	"repro/internal/workloads"
 )
@@ -26,8 +25,8 @@ var srad1Cell = experiments.TSLCConfig(slc.OPT, compress.MAG16, compress.MAG16.B
 // entropy table and running the workload take seconds, replaying far less.
 var srad1Trace = sync.OnceValues(func() (*trace.Trace, error) {
 	w := workloads.NewSRAD1()
-	var tables serving.TableCache
-	lossless, lossy, err := tables.Codecs(w, srad1Cell.Codec, srad1Cell.MAG, srad1Cell.ThresholdBits, srad1Cell.ErrorBound)
+	var tables experiments.TableCache
+	lossless, lossy, err := tables.Codecs(w, srad1Cell)
 	if err != nil {
 		return nil, err
 	}

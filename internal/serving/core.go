@@ -1,18 +1,24 @@
+// Package serving is the reusable serving core behind cmd/slcd, the
+// streaming compression daemon: per-request codec construction over the
+// registry, with every request's configuration validated by
+// experiments.NamedConfig and trained e2mc tables resolved through an
+// experiments.TableCache (memory → resultstore → train, inside singleflight
+// slots); block batch execution with bounded in-flight admission,
+// per-request timeouts, graceful drain and Prometheus-style metrics. An
+// evaluation run and a long-running daemon thus share one configuration
+// check, one table-training path and one result store.
 package serving
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/compress"
 	_ "repro/internal/compress/all" // register every codec
-	"repro/internal/flight"
+	"repro/internal/experiments"
 	"repro/internal/gpu/device"
 	"repro/internal/pipeline"
 	"repro/internal/resultstore"
@@ -60,7 +66,7 @@ type Config struct {
 const DefaultMaxInFlight = 64
 
 // Core is the transport-independent serving engine behind slcd: codec
-// resolution over the registry (with the table builder cache), bounded
+// resolution over the registry (with the trained-table cache), bounded
 // admission, and batch execution. Safe for concurrent use.
 type Core struct {
 	workers int
@@ -68,9 +74,8 @@ type Core struct {
 
 	// Tables resolves trained entropy tables; exported so the daemon can
 	// attach a result store and tests can read the retrain counters.
-	Tables TableCache
+	Tables experiments.TableCache
 
-	codecs   flight.Group[codecPair]
 	draining atomic.Bool
 
 	// Metrics receives request/batch observations; never nil.
@@ -93,7 +98,7 @@ func NewCore(cfg Config) *Core {
 	return c
 }
 
-// SetStore attaches the result store consulted by the table builder cache
+// SetStore attaches the result store consulted by the table cache
 // (nil detaches). Safe to call while serving.
 func (c *Core) SetStore(st *resultstore.Store) { c.store.Store(st) }
 
@@ -123,11 +128,12 @@ func (c *Core) acquire() (release func(), err error) {
 	}
 }
 
-// codecPair is the built (lossless, lossy) pair of one configuration; both
-// nil for identity codecs.
+// codecPair is the built (lossless, lossy) pair of one configuration, both
+// nil for identity codecs, and the MAG it runs at.
 type codecPair struct {
 	lossless compress.Codec
 	lossy    compress.Codec
+	mag      compress.MAG
 }
 
 // active returns the codec a compress/decompress request runs: the lossy
@@ -140,61 +146,35 @@ func (p codecPair) active() compress.Codec {
 	return p.lossless
 }
 
-// workloadNames returns the registered profile names (the Table III suite
-// plus the HPC float fields), for error messages.
-func workloadNames() []string {
-	var names []string
-	for _, w := range workloads.All() {
-		names = append(names, w.Info().Name)
-	}
-	return names
-}
-
-// resolve validates a request's codec selection and returns the built pair,
-// memoised per (codec, profile, MAG, threshold, error bound) in a
-// singleflight slot — the per-codec builder cache. Table-trained codecs
-// require a profile (a registered workload name) that selects the training
-// corpus.
+// resolve validates a request's codec configuration and builds its pair.
+// The wire's MAG 0 means 32 B; every other check is experiments.NamedConfig's,
+// and its errors are the caller's (400). Table-trained codecs also require a
+// profile (a registered workload name) that selects the training corpus.
+// The pair is built afresh on every request: trained tables are memoised
+// per profile, and a codec on one is a stateless value, so a cache of pairs
+// would save one small allocation and grow with every distinct request.
 func (c *Core) resolve(codec, profile string, magBytes, thresholdBits int, errorBound float64) (codecPair, error) {
-	codec = strings.ToLower(strings.TrimSpace(codec))
-	info, ok := compress.Lookup(codec)
-	if !ok {
-		return codecPair{}, badRequest("%v", compress.UnknownCodecError(codec))
-	}
 	if magBytes == 0 {
 		magBytes = int(compress.MAG32)
 	}
-	mag := compress.MAG(magBytes)
-	if !mag.Valid() {
-		return codecPair{}, badRequest("serving: invalid MAG %d (power of two dividing %d)", magBytes, compress.BlockSize)
-	}
-	if thresholdBits < 0 || thresholdBits > compress.BlockBits {
-		return codecPair{}, badRequest("serving: threshold %d bits out of range [0, %d]", thresholdBits, compress.BlockBits)
-	}
-	if math.IsNaN(errorBound) || math.IsInf(errorBound, 0) || errorBound < 0 {
-		return codecPair{}, badRequest("serving: error bound must be non-negative and finite, got %v", errorBound)
+	cfg, err := experiments.NamedConfig(codec, compress.MAG(magBytes), thresholdBits, errorBound)
+	if err != nil {
+		return codecPair{}, badRequest("%v", err)
 	}
 	var w workloads.Workload
-	if info.NeedsTable {
+	if info, _ := compress.Lookup(cfg.Codec); info.NeedsTable {
 		if profile == "" {
-			return codecPair{}, badRequest("serving: codec %q needs a trained table; set profile to one of %v", codec, workloadNames())
+			return codecPair{}, badRequest("serving: codec %q needs a trained table; set profile to one of %v", cfg.Codec, workloads.AllNames())
 		}
-		var err error
 		if w, err = workloads.ByName(profile); err != nil {
-			return codecPair{}, badRequest("serving: unknown profile %q (available: %v)", profile, workloadNames())
+			return codecPair{}, badRequest("serving: unknown profile %q (available: %v)", profile, workloads.AllNames())
 		}
-		profile = w.Info().Name
-	} else {
-		profile = ""
 	}
-	key := fmt.Sprintf("%s|%s|%d|%d|%g", codec, profile, mag, thresholdBits, errorBound)
-	return c.codecs.Do(key, func() (codecPair, error) {
-		lossless, lossy, err := c.Tables.Codecs(w, codec, mag, thresholdBits, errorBound)
-		if err != nil {
-			return codecPair{}, err
-		}
-		return codecPair{lossless: lossless, lossy: lossy}, nil
-	})
+	lossless, lossy, err := c.Tables.Codecs(w, cfg)
+	if err != nil {
+		return codecPair{}, err
+	}
+	return codecPair{lossless: lossless, lossy: lossy, mag: cfg.MAG}, nil
 }
 
 // Block is the wire form of one compressed 128-byte block.
@@ -382,12 +362,8 @@ func (c *Core) Evaluate(ctx context.Context, req *EvaluateRequest) (*EvaluateRes
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	mag := compress.MAG(req.MAG)
-	if req.MAG == 0 {
-		mag = compress.MAG32
-	}
 	dev := device.New()
-	pl, err := pipeline.New(dev, mag, pair.lossless, pair.lossy)
+	pl, err := pipeline.New(dev, pair.mag, pair.lossless, pair.lossy)
 	if err != nil {
 		return nil, err
 	}
@@ -412,7 +388,7 @@ func (c *Core) Evaluate(ctx context.Context, req *EvaluateRequest) (*EvaluateRes
 	case req.Profile != "":
 		w, err := workloads.ByName(req.Profile)
 		if err != nil {
-			return nil, badRequest("serving: unknown profile %q (available: %v)", req.Profile, workloadNames())
+			return nil, badRequest("serving: unknown profile %q (available: %v)", req.Profile, workloads.AllNames())
 		}
 		if _, err := w.Run(workloads.NewCtx(dev, nil, pl.Sync)); err != nil {
 			return nil, fmt.Errorf("serving: evaluate %s: %w", req.Profile, err)
@@ -433,17 +409,8 @@ func (c *Core) Evaluate(ctx context.Context, req *EvaluateRequest) (*EvaluateRes
 }
 
 // Workers resolves the configured per-batch fan-out (non-positive selects
-// one per core, the experiments.Workers policy — duplicated here so serving
-// does not import experiments).
-func (c *Core) Workers() int {
-	if c.workers > 0 {
-		return c.workers
-	}
-	return defaultWorkers()
-}
-
-// defaultWorkers is one worker per core (the experiments.Workers policy).
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
+// one per core, the experiments.Workers policy).
+func (c *Core) Workers() int { return experiments.Workers(c.workers) }
 
 // forBlocks runs fn over block indices [0, n) on the core's worker pool.
 // Like pipeline.Sync's parallel path, it gives each worker one contiguous

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/compress"
+	"repro/internal/workloads"
 )
 
 // DefaultRequestTimeout bounds one request's work when the handler's
@@ -238,7 +239,7 @@ func (h *Handler) handleCodecs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Codecs   []codecInfo `json:"codecs"`
 		Profiles []string    `json:"profiles"`
-	}{codecs, workloadNames()})
+	}{codecs, workloads.AllNames()})
 }
 
 // handleHealthz reports liveness: 503 once draining starts, so load

@@ -161,7 +161,7 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // Gauges snapshots the core's point-in-time state for /metrics: queue
-// depth, drain flag, builder-cache traffic and (when a store is attached)
+// depth, drain flag, table-cache traffic and (when a store is attached)
 // the resultstore hit counters.
 func (c *Core) Gauges() []Gauge {
 	draining := 0.0

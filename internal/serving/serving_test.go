@@ -7,12 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/compress/e2mc"
+	"repro/internal/experiments"
 	"repro/internal/resultstore"
 	"repro/internal/workloads"
 )
@@ -109,7 +111,7 @@ func TestBoundedCodecServingHonoursBound(t *testing.T) {
 	}
 }
 
-// TestWarmTableZeroRetrains pins the builder cache: the first e2mc request
+// TestWarmTableZeroRetrains pins the table cache: the first e2mc request
 // trains the table, every subsequent request reuses it.
 func TestWarmTableZeroRetrains(t *testing.T) {
 	core := newTestCore(0)
@@ -134,7 +136,7 @@ func TestStoreSkipsRetrainAcrossCores(t *testing.T) {
 	data := testData(4)
 	// compressOn runs one e2mc request on a fresh core over the store in
 	// dir and returns the core's table counters and its store's counters.
-	compressOn := func() (TableStats, resultstore.Stats) {
+	compressOn := func() (experiments.TableStats, resultstore.Stats) {
 		t.Helper()
 		st, err := resultstore.Open(dir, resultstore.Options{})
 		if err != nil {
@@ -171,7 +173,15 @@ func TestStoreSkipsRetrainAcrossCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := st.Key(kindTable, tableMaterial(w))
+	// The table record's kind and key material, spelled out: existing
+	// stores keep hitting only while these stay as they are.
+	const kindTable = "table"
+	key, err := st.Key(kindTable, resultstore.Material{
+		"workload":   workloads.Fingerprint(w),
+		"sampling":   "region-sync-v1",
+		"maxSymbols": e2mc.DefaultMaxSymbols,
+		"maxCodeLen": e2mc.DefaultMaxCodeLen,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +245,14 @@ func TestBadRequestsAreRequestErrors(t *testing.T) {
 			_, err := core.Compress(context.Background(), &CompressRequest{Codec: "e2mc", Profile: "nope", Data: testData(1)})
 			return err
 		}, "unknown profile"},
+		{"threshold out of range", func() error {
+			_, err := core.Compress(context.Background(), &CompressRequest{Codec: "tslc-opt", Profile: "TP", ThresholdBits: 2000, Data: testData(1)})
+			return err
+		}, "threshold 2000 bits out of range"},
+		{"negative bound", func() error {
+			_, err := core.Compress(context.Background(), &CompressRequest{Codec: "bdi", ErrorBound: -1, Data: testData(1)})
+			return err
+		}, "error bound"},
 		{"no blocks", func() error {
 			_, err := core.Decompress(context.Background(), &DecompressRequest{Codec: "bdi"})
 			return err
@@ -452,36 +470,52 @@ func TestMetricsRenderDeterministically(t *testing.T) {
 	}
 }
 
-// TestResolveMemoisesPairs pins the per-codec builder cache at the resolve
-// layer: one flight slot per distinct configuration.
-func TestResolveMemoisesPairs(t *testing.T) {
+// TestResolveNormalisesAndValidates pins resolve's one configuration check,
+// experiments.NamedConfig: codec names are trimmed and case-folded, MAG 0
+// is the wire's 32 B, and a bad parameter is a RequestError.
+func TestResolveNormalisesAndValidates(t *testing.T) {
 	core := newTestCore(0)
-	a, err := core.resolve("bdi", "", 0, 0, 0)
+	p, err := core.resolve(" BDI ", "", 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.resolve(" BDI ", "", 32, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	if p.lossless == nil || p.lossy != nil || p.mag != compress.MAG32 {
+		t.Fatalf("resolve(\" BDI \", MAG 0) = %+v, want a lossless bdi pair at 32 B", p)
 	}
-	if a.lossless != b.lossless {
-		t.Fatal("equivalent configurations built distinct codecs")
+	var reqErr *RequestError
+	if _, err := core.resolve("sz-lorenzo", "", 0, 0, math.Inf(1)); !errors.As(err, &reqErr) {
+		t.Fatalf("infinite error bound: got %v, want a RequestError", err)
 	}
-	if core.codecs.Len() != 1 {
-		t.Fatalf("%d cached pairs, want 1", core.codecs.Len())
+}
+
+// TestDistinctRequestsRetainNoMemory sends many compress requests that
+// differ only in a parameter bdi ignores: nothing per request may outlive
+// it, so the live heap must not grow with the number of distinct requests.
+func TestDistinctRequestsRetainNoMemory(t *testing.T) {
+	core := newTestCore(0)
+	data := testData(1)
+	compressWithBound := func(bound float64) {
+		t.Helper()
+		if _, err := core.Compress(context.Background(), &CompressRequest{Codec: "bdi", ErrorBound: bound, Data: data}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A distinct error bound is a distinct configuration.
-	if _, err := core.resolve("sz-lorenzo", "", 0, 0, 1e-4); err != nil {
-		t.Fatal(err)
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
 	}
-	if _, err := core.resolve("sz-lorenzo", "", 0, 0, 1e-2); err != nil {
-		t.Fatal(err)
+	compressWithBound(1) // first-use allocations (metrics series) are not growth
+	before := liveHeap()
+	const n = 20000
+	for i := 1; i <= n; i++ {
+		compressWithBound(float64(i) * 1e-6)
 	}
-	if core.codecs.Len() != 3 {
-		t.Fatalf("%d cached pairs, want 3", core.codecs.Len())
-	}
-	if _, err := core.resolve("sz-lorenzo", "", 0, 0, math.Inf(1)); err == nil {
-		t.Fatal("resolve accepted an infinite error bound")
+	after := liveHeap()
+	runtime.KeepAlive(core) // a dead core's caches would be collected too
+	if after > before && after-before >= 1<<20 {
+		t.Fatalf("%d distinct bdi requests grew the live heap by %d bytes, want under 1 MiB", n, after-before)
 	}
 }
 
